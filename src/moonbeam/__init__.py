@@ -44,14 +44,12 @@ from .errors import (
 from .geometry import (
     PathPoint,
     ScenarioGeometry,
-    min_path_height,
-    path_height,
     separation,
     tilt_angle,
 )
 from .phase import ComplexPhase, cumulative_phase, cumulative_phase_quadrature
 from .receiver import PanelResult, beam_shift, panel_power
-from .scenario import Scenario, parse_and_validate, resolve_cext
+from .scenario import Scenario, parse_and_validate, resolve_cext, scenario_from_mapping
 from .source import ApertureGrid, LaserSource, aperture_field, build_aperture_grid
 from .sweeps import (
     SweepResult,
@@ -102,16 +100,15 @@ __all__ = [
     "irradiance_at_point",
     "mie_cross_sections",
     "mie_extinction_cross_section",
-    "min_path_height",
     "panel_power",
     "parse_and_validate",
     "particle_density",
-    "path_height",
     "rayleigh_cross_section",
     "real_index",
     "required_aperture_resolution",
     "resolve_cext",
     "run_sweep",
+    "scenario_from_mapping",
     "separation",
     "tilt_angle",
 ]

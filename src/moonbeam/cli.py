@@ -27,7 +27,7 @@ from .diffraction import (
     free_space_gaussian_irradiance,
     irradiance_at_point,
 )
-from .dust import calibrate_cext, mie_cross_sections, rayleigh_cross_section
+from .dust import mie_cross_sections, rayleigh_cross_section
 from .errors import NumericalError, ValidationError
 from .geometry import PathPoint, ScenarioGeometry
 from .mapio import format_value, write_map_csv, write_map_pgm, write_table_csv
@@ -237,8 +237,12 @@ def _cmd_mie(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    scenario = _scenario_from_args(args)
-    c_ext = calibrate_cext(scenario, args.reference_power)
+    # The same path as cext_source=calibrated, so that the configured
+    # calibration geometry (dust.calibration.D/h0/hp) applies.
+    scenario = resolve_cext(
+        _scenario_from_args(args).with_updates(dust_enabled=True, cext_source="calibrated")
+    )
+    c_ext = scenario.dust.C_ext
     print("d_p,reference_power_W,C_ext_m2")
     print(",".join(format_value(v) for v in (scenario.dust.d_p, args.reference_power, c_ext)))
     return 0

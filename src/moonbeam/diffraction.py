@@ -26,7 +26,7 @@ import numpy as np
 from .dust import DustModel
 from .errors import NumericalError, TerrainError, ValidationError
 from .geometry import PathPoint, ScenarioGeometry
-from .phase import density_antiderivative
+from .phase import mean_density
 from .source import ApertureGrid, LaserSource, build_aperture_grid
 
 #: Sampling-rule floor [cells/axis]: keeps the smooth Gaussian envelope
@@ -37,10 +37,6 @@ MIN_APERTURE_RESOLUTION = 64
 #: temporary array at 16 MB, small enough that the allocator recycles
 #: them instead of round-tripping pages through the kernel.
 _BLOCK_ELEMENTS = 2_000_000
-
-#: Height separation [m] below which a ray's mean dust density uses the
-#: midpoint value instead of differencing the antiderivative.
-_FLAT_RAY_ATOL = 1e-6
 
 
 def required_aperture_resolution(
@@ -78,6 +74,11 @@ def field_at_points(
     aperture nodes contribute to every point; work is blocked over
     destination points to bound memory, never over nodes, so each
     point's node sum runs in one fixed-order reduction.
+
+    With dust, a ray's mean particle density depends only on its two
+    endpoint heights, so :func:`~moonbeam.phase.mean_density` is
+    evaluated once on the table of distinct destination heights by
+    distinct source-node heights and gathered per ray.
     """
     shape = np.broadcast_shapes(np.shape(xs), np.shape(ys), np.shape(zs))
     x, y, z = (
@@ -102,8 +103,9 @@ def field_at_points(
                 "a source-to-destination ray touches the ground "
                 f"(lowest endpoint heights {np.min(h_src):.6g}, {np.min(h_dst):.6g} m)"
             )
-        g_src = density_antiderivative(dust, h_src)
-        g_dst = density_antiderivative(dust, h_dst)
+        hs, src_row = np.unique(h_src, return_inverse=True)
+        hd, dst_row = np.unique(h_dst, return_inverse=True)
+        nbar_table = mean_density(dust, hd[:, None], hs[None, :])
         kappa = k * dust.polarizability_volume
 
     n_nodes = gx.size
@@ -119,15 +121,7 @@ def field_at_points(
         phase = k * (rho2 / (R + zz))
         amp = src_amp[None, :] / R
         if dust is not None:
-            dh = h_dst[sl, None] - h_src[None, :]
-            flat = np.abs(dh) <= _FLAT_RAY_ATOL
-            nbar = (g_dst[sl, None] - g_src[None, :]) / np.where(flat, 1.0, dh)
-            rows, cols = np.nonzero(flat)
-            if rows.size:
-                hm = 0.5 * (h_dst[sl][rows] + h_src[cols])
-                np.clip(hm, dust.h_floor, dust.H, out=hm)
-                nbar[rows, cols] = -dust.A * np.log(hm / dust.H)
-            cn = nbar * R
+            cn = np.take(nbar_table[dst_row[sl]], src_row, axis=1) * R
             phase = phase + kappa * cn
             if dust.C_ext > 0.0:
                 amp = amp * np.exp(-dust.C_ext * cn)

@@ -5,8 +5,9 @@ center of the receiving panel. Both planes are normal to that axis, so
 the transverse coordinates (x, y) live in a frame tilted by the angle
 theta between the axis and the horizontal. Height above ground is
 always recovered from tilted-frame coordinates via the linear relation
-implemented by :func:`path_height`; coordinates are never rotated
-explicitly.
+implemented by :func:`endpoint_heights` (heights are linear along every
+ray, so a ray's endpoints bound it); coordinates are never rotated
+explicitly. The ground is flat: there is no body radius.
 """
 
 from __future__ import annotations
@@ -117,31 +118,3 @@ def endpoint_heights(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry) -> 
     axis = geom.h0 + (geom.hp - geom.h0) * (dst.z / geom.D)
     h_dst = dst.y * c + axis
     return h_src, h_dst
-
-
-def path_height(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry, Rp: float) -> float:
-    """Height above ground at arclength Rp along the ray src -> dst [m].
-
-    Linear in Rp: equals y0*cos(theta) + h0 at Rp = 0 and
-    y*cos(theta) + hp at Rp = R (panel-plane destination).
-    """
-    R = separation(src, dst)
-    if R == 0.0:
-        if Rp != 0.0:
-            raise DomainError("arclength must be 0 on a zero-length path")
-        h_src, _ = endpoint_heights(src, dst, geom)
-        return h_src
-    if Rp < 0.0 or Rp > R:
-        raise DomainError(f"arclength must lie in [0, R={R}], got {Rp}")
-    h_src, h_dst = endpoint_heights(src, dst, geom)
-    return h_src + (h_dst - h_src) * (Rp / R)
-
-
-def min_path_height(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry) -> float:
-    """Minimum height above ground along the ray [m].
-
-    The height profile is linear, so the minimum is attained at an
-    endpoint.
-    """
-    h_src, h_dst = endpoint_heights(src, dst, geom)
-    return min(h_src, h_dst)

@@ -3,9 +3,11 @@
 The phase of a ray is the path integral of 2*pi*n(h)/lambda, where the
 complex index n depends only on height and the height varies linearly
 along the ray. That reduces every ray to the column number density
-(the path integral of the particle density), which this module
-evaluates in closed form from the exact antiderivative of the density
-profile, split piecewise at the floor and ceiling heights.
+(the path integral of the particle density): the ray length times the
+closed-form mean density over its endpoint heights, split piecewise at
+the floor and ceiling heights. :func:`mean_density` is the one formula
+for it; the diffraction engine evaluates it too, and the ``validate``
+command checks it against adaptive quadrature.
 
 The real part is stored as vacuum term plus excess: the vacuum term
 2*pi*R/lambda reaches ~3e11 rad at 50 km, and keeping the tiny dust
@@ -18,7 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+
+# Only scipy's package root loads here (~6 ms; submodules load on first
+# use), so callers that record the environment after importing moonbeam,
+# such as bench/worker.py, find scipy.__version__ in sys.modules.
+import scipy  # noqa: F401
 
 from .dust import DustModel, imag_index, particle_density
 from .errors import DomainError, NumericalError, TerrainError
@@ -122,31 +128,6 @@ def column_density(dm: DustModel, h1, h2, R):
     return mean_density(dm, h1, h2) * np.asarray(R, dtype=float)
 
 
-def density_antiderivative(dm: DustModel, h):
-    """G(h) = integral of the density profile from 0 to h [m^-2].
-
-    The mean density over [h1, h2] is (G(h2) - G(h1)) / (h2 - h1);
-    precomputing G per endpoint turns a batch of ray integrals into one
-    subtraction per pair, which the diffraction engine exploits. The
-    differencing costs up to ~1e-6 relative for millimeter height
-    separations (fine for field amplitudes); :func:`mean_density` is
-    the cancellation-free form used where 1e-9 accuracy is required.
-    """
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr <= 0.0):
-        raise DomainError("height must be positive to evaluate the density profile")
-    n_floor = -dm.A * math.log(dm.h_floor / dm.H)
-    hc = np.clip(h_arr, dm.h_floor, dm.H)
-    # integral of -A*ln(u/H) du = A*(u - u*ln(u/H)), taken from h_floor
-    core = dm.A * (
-        hc - hc * np.log(hc / dm.H) - dm.h_floor + dm.h_floor * math.log(dm.h_floor / dm.H)
-    )
-    g = np.minimum(h_arr, dm.h_floor) * n_floor + core
-    if h_arr.ndim == 0:
-        return float(g)
-    return g
-
-
 def _ray_inputs(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry):
     R = separation(src, dst)
     h_src, h_dst = endpoint_heights(src, dst, geom)
@@ -196,6 +177,8 @@ def cumulative_phase_quadrature(
     over arclength. Intended for tests and the validation command, not
     the hot path.
     """
+    from scipy.integrate import quad  # deferred: costs most of the package import
+
     if wavelength <= 0:
         raise DomainError(f"wavelength must be positive, got {wavelength}")
     if tol <= 0:

@@ -1,10 +1,11 @@
 """Received power, efficiency, and beam-center-shift metrics.
 
 Panel power is a tensor Gauss-Legendre quadrature of the irradiance
-over the panel rectangle, with the order doubled until the value is
-stable to 0.1%. Quadrature nodes are evaluated directly through the
-diffraction engine, never interpolated from a map, so steep beam edges
-cannot leak interpolation error into the power.
+over the panel rectangle, with the order raised 1.5x until two
+successive values agree to ``numerics.target_rel`` (0.1% by default).
+Quadrature nodes are evaluated directly through the diffraction
+engine, never interpolated from a map, so steep beam edges cannot leak
+interpolation error into the power.
 
 The beam-center shift is reported with two metrics: the canonical
 shift_y is the irradiance-weighted centroid over an analysis window of
@@ -29,7 +30,6 @@ SHIFT_WINDOW_FACTOR = 3.0
 
 _ORDER_START = 16
 _ORDER_CEILING = 1024
-_POWER_RTOL = 1e-3
 _SHIFT_ATOL = 1e-5  # [m]
 
 
@@ -164,25 +164,54 @@ def _line_peak(grid, scenario, half_y: float) -> float:
     return float(fine[j])
 
 
-def panel_power(scenario, with_shift: bool | None = None) -> PanelResult:
+def _refine(evaluate, order: int, rtol: float, atol: float = 0.0, what: str = "panel power"):
+    """Raise the quadrature order until two successive values agree.
+
+    Evaluates at ``order``, then steps it 1.5x (rounded even) while it
+    stays within _ORDER_CEILING: Gauss-Legendre error falls steeply
+    enough with order that this is as sound a stabilization check as
+    doubling, at half the quadratic cost. Values a, b agree when
+    |a - b| <= max(rtol * max(|a|, |b|), atol); NaN never agrees.
+    Returns the refinement history [(order, value), ...]; its last
+    entry is the accepted value. Raises ConvergenceError with that
+    history once the next order would pass the ceiling.
+    """
+    history = []
+    while order <= _ORDER_CEILING:
+        value = evaluate(order)
+        history.append((order, value))
+        if len(history) > 1:
+            prev = history[-2][1]
+            if abs(value - prev) <= max(rtol * max(abs(value), abs(prev)), atol):
+                return history
+        order = 2 * math.ceil(0.75 * order)
+    raise ConvergenceError(
+        f"{what} quadrature did not stabilize to {rtol:g} by order {_ORDER_CEILING}; "
+        f"last iterates {history[-2:]}",
+        history=history,
+    )
+
+
+def panel_power(scenario, with_shift: bool = True) -> PanelResult:
     """Received power and shift metrics for one scenario.
 
-    Doubles the quadrature order until the power changes by less than
-    0.1%; with dust on, a second loop refines the shift window until
-    the centroid stabilizes. Raises ConvergenceError with the
-    refinement history if the order ceiling is reached. The aperture
-    resolution comes from the scenario numerics or the sampling rule
-    (applied separately to the panel and the wider shift window, whose
-    corners sit at different transverse offsets).
+    Raises the quadrature order 1.5x until two successive powers agree
+    to ``numerics.target_rel``; with dust on, the shift window is then
+    refined the same way, from the power's final order, until the
+    centroid stabilizes (to target_rel relative or _SHIFT_ATOL). Raises
+    ConvergenceError with the refinement history if the order ceiling
+    is reached. The aperture resolution comes from the scenario
+    numerics or the sampling rule (applied separately to the panel and
+    the wider shift window, whose corners sit at different transverse
+    offsets).
 
     with_shift False skips the shift metrics (power-only callers such
-    as calibration); None computes them exactly when dust is on. The
-    dust-free shift is identically zero by symmetry and never computed.
+    as calibration). The dust-free shift is identically zero by
+    symmetry and never computed.
     """
     geom = scenario.geometry
     laser = scenario.laser
-    dusty = scenario.dust_enabled
-    want_shift = dusty and with_shift is not False
+    rtol = scenario.numerics.target_rel
     half_l, half_w = geom.L / 2.0, geom.W / 2.0
     win_x, win_y = SHIFT_WINDOW_FACTOR * half_l, SHIFT_WINDOW_FACTOR * half_w
 
@@ -192,61 +221,29 @@ def panel_power(scenario, with_shift: bool | None = None) -> PanelResult:
     )
     power_grid = build_aperture_grid(laser, power_res)
 
-    history = []
-    power_prev = None
-    power = rel = None
-    order = _ORDER_START
-    while order <= _ORDER_CEILING:
-        power, _ = _window_integrals(power_grid, scenario, half_l, half_w, order)
-        history.append((order, power))
-        if power_prev is not None:
-            scale = max(abs(power), abs(power_prev))
-            rel = abs(power - power_prev) / scale if scale > 0.0 else 0.0
-            if rel < _POWER_RTOL:
-                break
-        power_prev = power
-        # 1.5x steps (rounded even): Gauss-Legendre error falls steeply
-        # enough with order that this is as sound a stabilization check
-        # as doubling, at half the quadratic cost.
-        order = 2 * math.ceil(0.75 * order)
-    else:
-        raise ConvergenceError(
-            f"panel quadrature did not converge below {_POWER_RTOL:.0e} by "
-            f"order {_ORDER_CEILING}; last iterates {history[-2:]}",
-            history=history,
-        )
+    history = _refine(
+        lambda order: _window_integrals(power_grid, scenario, half_l, half_w, order)[0],
+        _ORDER_START,
+        rtol,
+    )
+    (_, power_prev), (order, power) = history[-2:]
+    scale = max(abs(power), abs(power_prev))
+    rel = abs(power - power_prev) / scale if scale > 0.0 else 0.0
 
     shift = peak = 0.0
-    if want_shift:
+    if scenario.dust_enabled and with_shift:
         win_res = configured or required_aperture_resolution(
             laser, geom.D, math.hypot(win_x, win_y)
         )
         win_grid = (
             power_grid if win_res == power_res else build_aperture_grid(laser, win_res)
         )
-        worder = order
-        wtot, wmom = _window_integrals(win_grid, scenario, win_x, win_y, worder)
-        shift_prev = wmom / wtot if wtot > 0.0 else float("nan")
-        shift_history = [(worder, shift_prev)]
-        while worder < _ORDER_CEILING:
-            # Gauss-Legendre error falls steeply with order; a 1.5x step
-            # (rounded even) is as sound a stabilization check as
-            # doubling at half the quadratic cost.
-            worder = 2 * math.ceil(0.75 * worder)
-            wtot, wmom = _window_integrals(win_grid, scenario, win_x, win_y, worder)
-            shift = wmom / wtot if wtot > 0.0 else float("nan")
-            shift_history.append((worder, shift))
-            if not (math.isnan(shift) or math.isnan(shift_prev)) and abs(
-                shift - shift_prev
-            ) <= max(_POWER_RTOL * abs(shift), _SHIFT_ATOL):
-                break
-            shift_prev = shift
-        else:
-            raise ConvergenceError(
-                f"beam-shift quadrature did not stabilize by order {_ORDER_CEILING}; "
-                f"last iterates {shift_history[-2:]}",
-                history=shift_history,
-            )
+
+        def centroid(order: int) -> float:
+            wtot, wmom = _window_integrals(win_grid, scenario, win_x, win_y, order)
+            return wmom / wtot if wtot > 0.0 else float("nan")
+
+        shift = _refine(centroid, order, rtol, _SHIFT_ATOL, "beam-shift")[-1][1]
         peak = _line_peak(win_grid, scenario, win_y)
 
     return PanelResult(
@@ -254,7 +251,7 @@ def panel_power(scenario, with_shift: bool | None = None) -> PanelResult:
         efficiency=power / laser.P0,
         shift_y=shift,
         peak_y=peak,
-        convergence=rel if rel is not None else 0.0,
+        convergence=rel,
     )
 
 

@@ -50,8 +50,9 @@ class NumericsConfig:
     """Discretization and convergence controls.
 
     aperture_resolution None means: derive from the oscillation-aware
-    sampling rule (and let convergence refinement take over from
-    there).
+    sampling rule. target_rel is the relative tolerance of the panel
+    quadrature refinement in panel_power (power and beam shift);
+    max_refinements bounds the resolution doublings of sweeps.converge.
     """
 
     aperture_resolution: int | None = None

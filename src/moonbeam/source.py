@@ -125,21 +125,6 @@ class ApertureGrid:
         """Power carried by the discretized field [W]."""
         return float(np.sum(self.weight * self.e0**2) / (2.0 * eta))
 
-    @classmethod
-    def single_node(cls, ls: LaserSource) -> "ApertureGrid":
-        """Degenerate one-node grid at the aperture center.
-
-        Carries the full aperture area as weight; used for
-        center-to-center (single-ray) geometry.
-        """
-        return cls(
-            x=np.zeros(1),
-            y=np.zeros(1),
-            weight=np.array([math.pi * ls.r_a**2]),
-            e0=np.array([aperture_field(ls, 0.0, 0.0)]),
-            resolution=1,
-        )
-
 
 def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
     """Discretize the aperture disk at the given cells-per-axis count.

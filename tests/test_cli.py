@@ -7,7 +7,9 @@ import pytest
 
 from moonbeam.cli import main
 from moonbeam.dust import mie_cross_sections
+from moonbeam.mapio import format_value
 from moonbeam.receiver import RESULT_COLUMNS
+from moonbeam.scenario import resolve_cext, scenario_from_mapping
 
 EFF_5KM = 0.9877835227434305
 EFF_25KM = 0.9101194558082812
@@ -158,6 +160,25 @@ def test_calibrate_round_trip(capsys):
     )
     assert code == 0
     assert parse_result_row(out)["power_W"] == pytest.approx(800.0, rel=5e-3)
+
+
+def test_calibrate_honours_calibration_geometry(capsys):
+    # The reference power is measured at D = 5 km, not at the 25 km
+    # scenario distance: the CLI must fit at 5 km, as resolve_cext does.
+    code, out, _ = run(
+        capsys, "calibrate", "--reference-power", "700", "--distance", "25000",
+        "--set", "dust.calibration.D=5000", "--aperture-resolution", "64",
+    )
+    assert code == 0
+    expected = resolve_cext(scenario_from_mapping({
+        "geometry.D": 25000.0,
+        "dust.enabled": True,
+        "dust.cext_source": "calibrated",
+        "dust.calibration.reference_power": 700.0,
+        "dust.calibration.D": 5000.0,
+        "numerics.aperture_resolution": 64,
+    })).dust.C_ext
+    assert out.strip().splitlines()[1].split(",")[2] == format_value(expected)
 
 
 def test_calibrate_reference_above_p0(capsys):

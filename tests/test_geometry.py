@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from moonbeam.errors import DomainError, GeometryError
@@ -10,8 +9,6 @@ from moonbeam.geometry import (
     PathPoint,
     ScenarioGeometry,
     endpoint_heights,
-    min_path_height,
-    path_height,
     separation,
     tilt_angle,
 )
@@ -100,44 +97,3 @@ def test_endpoint_heights_intermediate_plane_interpolates():
         PathPoint.source(0.0, 0.0), PathPoint.destination(0.0, 0.0, 2500.0), geom
     )
     assert h_mid == pytest.approx(4.0, rel=1e-15)
-
-
-def test_path_height_linear_along_ray():
-    geom = ScenarioGeometry(D=5000.0, h0=2.0, hp=6.0)
-    src = PathPoint.source(0.0, 0.1)
-    dst = PathPoint.destination(0.2, -0.1, 5000.0)
-    R = separation(src, dst)
-    h_src, h_dst = endpoint_heights(src, dst, geom)
-    assert path_height(src, dst, geom, 0.0) == pytest.approx(h_src, rel=1e-15)
-    assert path_height(src, dst, geom, R) == pytest.approx(h_dst, rel=1e-12)
-    assert path_height(src, dst, geom, R / 2.0) == pytest.approx(
-        0.5 * (h_src + h_dst), rel=1e-12
-    )
-
-
-def test_path_height_rejects_arclength_outside_ray():
-    geom = ScenarioGeometry(D=5000.0, h0=2.0, hp=2.0)
-    src = PathPoint.source(0.0, 0.0)
-    dst = PathPoint.destination(0.0, 0.0, 5000.0)
-    with pytest.raises(DomainError, match="arclength"):
-        path_height(src, dst, geom, -1.0)
-    with pytest.raises(DomainError, match="arclength"):
-        path_height(src, dst, geom, 5001.0)
-
-
-def test_path_height_zero_length_path():
-    geom = ScenarioGeometry(D=5000.0, h0=2.0, hp=2.0)
-    p = PathPoint(0.0, 0.1, 0.0)
-    assert path_height(p, p, geom, 0.0) == pytest.approx(2.0 + 0.1, rel=1e-15)
-    with pytest.raises(DomainError):
-        path_height(p, p, geom, 1.0)
-
-
-def test_min_path_height_is_endpoint_minimum():
-    geom = ScenarioGeometry(D=5000.0, h0=2.0, hp=6.0)
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        src = PathPoint.source(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        dst = PathPoint.destination(rng.uniform(-1, 1), rng.uniform(-1, 1), 5000.0)
-        h_src, h_dst = endpoint_heights(src, dst, geom)
-        assert min_path_height(src, dst, geom) == min(h_src, h_dst)

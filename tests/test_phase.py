@@ -14,7 +14,6 @@ from moonbeam.phase import (
     column_density,
     cumulative_phase,
     cumulative_phase_quadrature,
-    density_antiderivative,
     mean_density,
 )
 
@@ -100,33 +99,6 @@ def test_column_density_is_mean_times_length():
     assert column_density(dm, 2.0, 4.0, 1000.0) == pytest.approx(
         mean_density(dm, 2.0, 4.0) * 1000.0, rel=1e-15
     )
-
-
-def test_density_antiderivative_difference_matches_mean():
-    dm = default_dust()
-    rng = np.random.default_rng(11)
-    h1 = rng.uniform(0.01, 15.0, size=200)
-    h2 = rng.uniform(0.01, 15.0, size=200)
-    g1 = density_antiderivative(dm, h1)
-    g2 = density_antiderivative(dm, h2)
-    direct = mean_density(dm, h1, h2)
-    diffed = (g2 - g1) / (h2 - h1)
-    np.testing.assert_allclose(diffed, direct, rtol=1e-9)
-
-
-def test_density_antiderivative_derivative_recovers_density():
-    dm = default_dust()
-    for h in (0.01, 0.5, 2.0, 7.0):
-        d = 1e-5 * h
-        est = (density_antiderivative(dm, h + d) - density_antiderivative(dm, h - d)) / (2 * d)
-        assert est == pytest.approx(particle_density(dm, h), rel=1e-7)
-
-
-def test_density_antiderivative_constant_above_ceiling():
-    dm = default_dust()
-    assert density_antiderivative(dm, 12.0) == density_antiderivative(dm, dm.H)
-    with pytest.raises(DomainError, match="positive"):
-        density_antiderivative(dm, 0.0)
 
 
 def level_ray(length, h):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from moonbeam import receiver
 from moonbeam.diffraction import IrradianceMap, gaussian_beam_radius
-from moonbeam.errors import DegenerateMapError, ValidationError
+from moonbeam.errors import ConvergenceError, DegenerateMapError, ValidationError
 from moonbeam.receiver import (
     RESULT_COLUMNS,
     beam_shift,
@@ -98,6 +99,42 @@ def test_panel_power_with_shift_false_skips_metrics():
     r = panel_power(s, with_shift=False)
     assert r.power == pytest.approx(DUSTY_5KM["power"], rel=1e-9)
     assert r.shift_y == 0.0 and r.peak_y == 0.0
+
+
+def test_target_rel_sets_the_panel_refinement_tolerance():
+    # At 5 km with 64 cells, orders 16 and 24 agree to 1% but not to
+    # 0.1%: the default needs order 36, a 1% target stops at 24.
+    tight = panel_power(scen(**{"numerics.aperture_resolution": 64}))
+    loose = panel_power(scen(**{
+        "numerics.aperture_resolution": 64,
+        "numerics.target_rel": 0.01,
+    }))
+    assert tight.convergence < 1e-3 < loose.convergence < 0.01
+    assert loose.power == pytest.approx(tight.power, rel=0.01)
+
+
+def test_shift_refinement_stops_at_the_order_ceiling(monkeypatch):
+    # Dusty 5 km with 64 cells: the power settles at order 36 and the
+    # shift window then needs orders 36, 54 and 82. With the ceiling at
+    # 60 the step to 82 is out of range, so the loop gives up unevaluated.
+    orders = []
+    integrals = receiver._window_integrals
+
+    def record(grid, scenario, half_x, half_y, order):
+        orders.append(order)
+        return integrals(grid, scenario, half_x, half_y, order)
+
+    monkeypatch.setattr(receiver, "_window_integrals", record)
+    monkeypatch.setattr(receiver, "_ORDER_CEILING", 60)
+    with pytest.raises(ConvergenceError, match="beam-shift") as err:
+        panel_power(scen(**{
+            "dust.enabled": True,
+            "dust.cext_source": "explicit",
+            "dust.cext": 5e-14,
+            "numerics.aperture_resolution": 64,
+        }))
+    assert max(orders) <= 60
+    assert [order for order, _ in err.value.history] == [36, 54]
 
 
 def test_result_row_zeroes_dust_columns_when_disabled():

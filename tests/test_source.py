@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moonbeam.errors import DomainError, ResolutionError, ValidationError
-from moonbeam.source import ApertureGrid, LaserSource, aperture_field, build_aperture_grid
+from moonbeam.source import LaserSource, aperture_field, build_aperture_grid
 
 # Derived constants of the default source (P0=1000 W, w0=r_a=0.05 m,
 # lambda=1064 nm, eta=377 ohm), frozen from the closed forms.
@@ -110,11 +110,3 @@ def test_grid_arrays_are_read_only():
     grid = build_aperture_grid(default_source(), 16)
     with pytest.raises(ValueError):
         grid.x[0] = 1.0
-
-
-def test_single_node_grid():
-    ls = default_source()
-    grid = ApertureGrid.single_node(ls)
-    assert grid.x.size == 1 and grid.resolution == 1
-    assert grid.weight[0] == pytest.approx(math.pi * ls.r_a**2, rel=1e-15)
-    assert grid.e0[0] == pytest.approx(ls.peak_amplitude, rel=1e-15)
