@@ -214,7 +214,6 @@ def _cmd_map(args) -> int:
         scenario,
         extent=args.extent,
         resolution=args.resolution,
-        workers=scenario.numerics.workers,
     )
     out_dir = scenario.outputs.resolve_directory()
     os.makedirs(out_dir, exist_ok=True)

@@ -1,24 +1,37 @@
-"""Element-sum propagation of the aperture field to destination points.
+"""Propagation of the aperture field to destination points.
 
 Every aperture node contributes a spherical wavelet 1/(lambda*R) *
 E0 * exp(-j*Phi) * dA; the destination field is the plain sum (no
 obliquity factor, consistent with the sub-degree tilts involved).
 Phi is complex: its imaginary part (extinction) attenuates the
 amplitude, its real part carries vacuum propagation plus the excess
-from the dust's real index.
+from the dust's real index. The common factor exp(-j*k*z) carries no
+transverse information and is dropped.
 
-Two precision measures keep the oscillatory sum honest at long range:
-the vacuum phase enters as k*(R - z) computed by the cancellation-free
-identity R - z = rho^2/(R + z) (the common factor exp(-j*k*z) carries
-no transverse information and is dropped), and summation runs in a
-fixed node order with numpy's pairwise reduction so results are
-bit-identical regardless of worker count.
+Two evaluations of that sum:
+
+- :func:`field_at_points`, the exact direct sum for scattered points.
+  The vacuum phase enters as k*(R - z), computed by the
+  cancellation-free identity R - z = rho^2/(R + z), and each point's
+  node sum runs in one fixed-order numpy reduction.
+- :func:`field_on_grid`, for a tensor grid of points on one plane.
+  The interior aperture nodes lie on a lattice, and a ray's dust
+  column depends only on its two endpoint heights, that is on (y0, y).
+  With the Fresnel expansion of R about z and its first-order
+  correction (1/R, the quartic phase, the column's rho^2/2z), the
+  lattice sum factorizes into a few real and complex matrix products;
+  the rim nodes are added by the direct sum. A bound on the dropped
+  second-order terms is checked first, and the whole grid takes the
+  direct sum when it exceeds _FRESNEL_REMAINDER_MAX.
+
+Both are deterministic: the reduction order depends only on the array
+shapes, never on the worker or BLAS thread count.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +50,25 @@ MIN_APERTURE_RESOLUTION = 64
 #: temporary array at 16 MB, small enough that the allocator recycles
 #: them instead of round-tripping pages through the kernel.
 _BLOCK_ELEMENTS = 2_000_000
+
+#: Largest bound on the separable sum's dropped second-order terms,
+#: relative to each pair's magnitude, for which field_on_grid uses it.
+#: The bound is a worst case at the grid corner; the summed error is far
+#: smaller, because the dropped terms turn with the pair phase and are
+#: largest where the beam is dark. For bounds up to 1e-5 (200 m to 1 km,
+#: half-widths 0.3 to 0.75 m) the field error measured 1e-3 to 3e-3 of
+#: the bound times max |E|: 4e-10 over the shift window at 1 km, where
+#: the bound is 7.3e-7. Shorter ranges and wider grids take the direct
+#: sum.
+_FRESNEL_REMAINDER_MAX = 1e-6
+
+#: Rounding allowance, relative to the summed pair magnitudes, when the
+#: separable field is checked against the direct sum. Phases of up to
+#: ~1e4 rad and sums of ~1e5 terms leave rounding near 1e-12; a fault in
+#: the separable sum shows at order one.
+_ROUNDING_RTOL = 1e-9
+
+_log = logging.getLogger("moonbeam")
 
 
 def required_aperture_resolution(
@@ -57,6 +89,23 @@ def required_aperture_resolution(
     k = 2.0 * math.pi / ls.wavelength
     delta = (math.pi / 4.0) * z_min / (k * (ls.r_a + max(rho_max, 0.0)))
     return max(floor, int(math.ceil(2.0 * ls.r_a / delta)))
+
+
+def _ray_heights(geom: ScenarioGeometry, y_src, y_dst, z):
+    """Heights of source nodes at y_src and destinations at (y_dst, z).
+
+    Raises TerrainError if any of them is not above the ground.
+    """
+    cos_t = math.cos(geom.theta)
+    h_src = y_src * cos_t + geom.h0
+    h_axis = geom.h0 + (geom.hp - geom.h0) * (z / geom.D)
+    h_dst = y_dst * cos_t + h_axis
+    if np.min(h_src) <= 0.0 or np.min(h_dst) <= 0.0:
+        raise TerrainError(
+            "a source-to-destination ray touches the ground "
+            f"(lowest endpoint heights {np.min(h_src):.6g}, {np.min(h_dst):.6g} m)"
+        )
+    return h_src, h_dst
 
 
 def field_at_points(
@@ -90,19 +139,18 @@ def field_at_points(
     if np.any(z <= 0.0):
         raise ValidationError("destination points must lie at z > 0")
 
+    out = _direct_sum(grid.x, grid.y, grid.weight * grid.e0 / wavelength,
+                      geom, dust, wavelength, x, y, z)
+    return out.reshape(shape)
+
+
+def _direct_sum(gx, gy, src_amp, geom, dust, wavelength, x, y, z):
+    """Field at flat points (x, y, z) of the nodes (gx, gy) with
+    amplitudes src_amp = weight * e0 / wavelength: the body of
+    :func:`field_at_points`."""
     k = 2.0 * math.pi / wavelength
-    gx, gy = grid.x, grid.y
-    src_amp = grid.weight * grid.e0 / wavelength
-    cos_t = math.cos(geom.theta)
     if dust is not None:
-        h_src = gy * cos_t + geom.h0  # per node
-        h_axis = geom.h0 + (geom.hp - geom.h0) * (z / geom.D)
-        h_dst = y * cos_t + h_axis  # per destination point
-        if np.min(h_src) <= 0.0 or np.min(h_dst) <= 0.0:
-            raise TerrainError(
-                "a source-to-destination ray touches the ground "
-                f"(lowest endpoint heights {np.min(h_src):.6g}, {np.min(h_dst):.6g} m)"
-            )
+        h_src, h_dst = _ray_heights(geom, gy, y, z)
         hs, src_row = np.unique(h_src, return_inverse=True)
         hd, dst_row = np.unique(h_dst, return_inverse=True)
         nbar_table = mean_density(dust, hd[:, None], hs[None, :])
@@ -130,7 +178,7 @@ def field_at_points(
         )
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalError("field accumulation produced non-finite values")
-    return out.reshape(shape)
+    return out
 
 
 def field_at_point(
@@ -142,6 +190,128 @@ def field_at_point(
 ) -> complex:
     """Complex field at a single destination path point [V/m]."""
     return complex(field_at_points(grid, geom, dust, wavelength, dst.x, dst.y, dst.z))
+
+
+def _fresnel_remainder(k: float, z: float, rho2: float, col: float) -> float:
+    """Bound on a pair's relative error in the separable sum.
+
+    rho2 bounds the squared transverse offset rho^2 of the pairs and col
+    bounds |C_ext + j*k*alpha| * mean density [1/m] (0 without dust).
+    The exact factors z/R, exp(-j*k*(R - z - rho^2/2z)) and
+    exp(-c*nbar*(R - z)) are taken as 1 + a1, 1 + a2, 1 + a3 with
+    a1 = -rho^2/2z^2, a2 = j*k*rho^4/8z^3, a3 = -c*nbar*rho^2/2z, and
+    the product as 1 + a1 + a2 + a3. The three factors err by at most
+    e1 = 3rho^4/8z^4, e2 = |a2|^2/2 + k*rho^6/16z^5 and
+    e3 = |a3|^2/2 + col*rho^4/8z^3 (alternating series for rho < z;
+    Re(c) >= 0), and the dropped products by the pairwise and triple
+    products of |a_i|. The bound grows with rho2, so the corner of the
+    grid bounds every pair.
+    """
+    a1 = rho2 / (2.0 * z * z)
+    a2 = k * rho2 * rho2 / (8.0 * z**3)
+    a3 = col * rho2 / (2.0 * z)
+    e1 = 3.0 * rho2 * rho2 / (8.0 * z**4)
+    e2 = 0.5 * a2 * a2 + k * rho2**3 / (16.0 * z**5)
+    e3 = 0.5 * a3 * a3 + col * rho2 * rho2 / (8.0 * z**3)
+    return e1 + e2 + (1.0 + a2) * e3 + a1 * a2 + a1 * a3 + a2 * a3 + a1 * a2 * a3
+
+
+def field_on_grid(
+    grid: ApertureGrid,
+    geom: ScenarioGeometry,
+    dust: DustModel | None,
+    wavelength: float,
+    xs,
+    ys,
+    z: float,
+) -> np.ndarray:
+    """Complex field on the tensor grid xs x ys at the plane z [V/m].
+
+    Returns E with E[i, j] the field at (xs[i], ys[j], z): the sum of
+    :func:`field_at_points` on those points. The lattice nodes of a grid
+    from build_aperture_grid are summed separably (see the module
+    docstring) and its rim nodes directly, and one grid point is
+    checked against field_at_points. When the bound on the separable
+    sum's dropped terms exceeds _FRESNEL_REMAINDER_MAX, or the grid has
+    no lattice, every node is summed by field_at_points and a warning on
+    the ``moonbeam`` logger gives the pair count.
+    """
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    z = float(z)
+    if z <= 0.0:
+        raise ValidationError("destination points must lie at z > 0")
+    k = 2.0 * math.pi / wavelength
+
+    bound = math.inf
+    if grid.lattice is not None:
+        u = grid.axis
+        reach = float(np.max(np.abs(u)))
+        rho2 = (float(np.max(np.abs(xs))) + reach) ** 2 + (float(np.max(np.abs(ys))) + reach) ** 2
+        col = 0.0
+        if dust is not None:
+            h_src, h_dst = _ray_heights(geom, u, ys, z)
+            nbar = mean_density(dust, h_dst[:, None], h_src[None, :])
+            c = complex(dust.C_ext, k * dust.polarizability_volume)
+            col = abs(c) * float(np.max(nbar))
+        bound = _fresnel_remainder(k, z, rho2, col)
+
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    if bound > _FRESNEL_REMAINDER_MAX:
+        _log.warning(
+            "direct diffraction sum of %d nodes x %d points = %.3g pairs at z = %g m "
+            "(separable remainder bound %.3g > %g)",
+            grid.x.size, xg.size, float(grid.x.size) * xg.size, z, bound,
+            _FRESNEL_REMAINDER_MAX,
+        )
+        return field_at_points(grid, geom, dust, wavelength, xg, yg, z)
+
+    # Per pair, a/z * Kx(dx) * Ky(dy) * Dust(y, y0) * (1 + beta*rho^2 +
+    # gamma*rho^4), with beta = -1/2z^2 - c*nbar/2z and gamma = jk/8z^3.
+    # Expanding rho^2 = dx^2 + dy^2 groups it by dx^0, dx^2 and dx^4.
+    dx2 = (xs[:, None] - u[None, :]) ** 2
+    dy2 = (ys[:, None] - u[None, :]) ** 2
+    q = k / (2.0 * z)
+    kx = np.exp(-1j * q * dx2)
+    ky = np.exp(-1j * q * dy2)
+    beta = -0.5 / (z * z)
+    if dust is not None:
+        cn = c * nbar
+        ky = ky * np.exp(-z * cn)
+        beta = beta - cn / (2.0 * z)
+    gamma = 1j * k / (8.0 * z**3)
+    # The contractions run in einsum's loops, whose summation order is
+    # fixed by the shapes; OpenBLAS matmul changes it with its thread
+    # count. The lattice is real, so the first one is a real product.
+    left = np.concatenate([kx, kx * dx2, kx * (dx2 * dx2)])
+    la = np.einsum("ik,kj->ij", np.concatenate([left.real, left.imag]), grid.lattice / wavelength)
+    la = la[: left.shape[0]] + 1j * la[left.shape[0]:]
+    right = (
+        ky * (1.0 + beta * dy2 + gamma * (dy2 * dy2)),
+        ky * (beta + 2.0 * gamma * dy2),
+        ky * gamma,
+    )
+    e = np.einsum("ik,jk->ij", np.hstack(np.split(la, 3)), np.hstack(right)) / z
+    rim = slice(grid.lattice_nodes, None)
+    e += _direct_sum(
+        grid.x[rim], grid.y[rim], grid.weight[rim] * grid.e0[rim] / wavelength,
+        geom, dust, wavelength, xg.ravel(), yg.ravel(), np.full(xg.size, z),
+    ).reshape(xg.shape)
+    if not np.all(np.isfinite(e.view(float))):
+        raise NumericalError("field accumulation produced non-finite values")
+
+    # The exact sum at the grid point farthest off axis, where the bound
+    # is attained, checks the bound: no pair errs by more than bound
+    # times its magnitude, and no pair's magnitude exceeds weight*e0/(lambda*z).
+    i, j = int(np.argmax(np.abs(xs))), int(np.argmax(np.abs(ys)))
+    exact = field_at_points(grid, geom, dust, wavelength, xs[i], ys[j], z)
+    scale = float(np.sum(grid.lattice)) / (wavelength * z)
+    if not abs(e[i, j] - exact) <= (bound + _ROUNDING_RTOL) * scale:
+        raise NumericalError(
+            f"separable field at ({xs[i]:.6g}, {ys[j]:.6g}, {z:.6g}) m differs from the "
+            f"direct sum by {abs(e[i, j] - exact):.3g} V/m, above its bound"
+        )
+    return e
 
 
 def irradiance_at_point(field_value, eta: float):
@@ -204,32 +374,10 @@ def _symmetric_axis(half_width: float, count: int) -> np.ndarray:
     return (np.arange(count) - (count - 1) / 2.0) * step
 
 
-def _map_rows(scenario, extent, resolution, aperture_resolution, row_range):
-    """Worker body: irradiance rows [row_range) of the map grid."""
-    ex, ey = extent
-    nx, ny = resolution
-    xs = _symmetric_axis(ex, nx)
-    ys = _symmetric_axis(ey, ny)
-    grid = build_aperture_grid(scenario.laser, aperture_resolution)
-    lo, hi = row_range
-    xg, yg = np.meshgrid(xs, ys[lo:hi], indexing="xy")
-    e = field_at_points(
-        grid,
-        scenario.geometry,
-        scenario.active_dust(),
-        scenario.laser.wavelength,
-        xg.ravel(),
-        yg.ravel(),
-        np.full(xg.size, scenario.geometry.D),
-    )
-    return irradiance_at_point(e, scenario.laser.eta).reshape(hi - lo, nx)
-
-
 def compute_irradiance_map(
     scenario,
     extent=None,
     resolution: int | tuple[int, int] = 129,
-    workers: int | None = None,
 ) -> IrradianceMap:
     """Irradiance over a uniform grid on the panel plane.
 
@@ -243,9 +391,6 @@ def compute_irradiance_map(
         panel half-extents, the beam-shift analysis window.
     resolution : int or (int, int)
         Grid points per axis, at least 32.
-    workers : int, optional
-        Parallel row workers; defaults to the scenario numerics value.
-        The result is identical for any worker count.
     """
     geom = scenario.geometry
     if extent is None:
@@ -268,25 +413,18 @@ def compute_irradiance_map(
     ap_res = scenario.numerics.aperture_resolution or required_aperture_resolution(
         scenario.laser, geom.D, math.hypot(ex, ey)
     )
-    n_workers = workers if workers is not None else scenario.numerics.workers
-
-    if n_workers > 1 and ny >= 2 * n_workers:
-        bounds = np.linspace(0, ny, n_workers + 1, dtype=int)
-        ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(
-                pool.map(
-                    _map_rows,
-                    [scenario] * len(ranges),
-                    [(ex, ey)] * len(ranges),
-                    [(nx, ny)] * len(ranges),
-                    [ap_res] * len(ranges),
-                    ranges,
-                )
-            )
-        values = np.vstack(parts)
-    else:
-        values = _map_rows(scenario, (ex, ey), (nx, ny), ap_res, (0, ny))
+    xs = _symmetric_axis(ex, nx)
+    ys = _symmetric_axis(ey, ny)
+    e = field_on_grid(
+        build_aperture_grid(scenario.laser, ap_res),
+        geom,
+        scenario.active_dust(),
+        scenario.laser.wavelength,
+        xs,
+        ys,
+        geom.D,
+    )
+    values = irradiance_at_point(e.T, scenario.laser.eta)
 
     meta = {
         "aperture_resolution": ap_res,
@@ -299,8 +437,8 @@ def compute_irradiance_map(
         "config_hash": scenario.config_hash(),
     }
     return IrradianceMap(
-        xs=_symmetric_axis(ex, nx),
-        ys=_symmetric_axis(ey, ny),
+        xs=xs,
+        ys=ys,
         values=values,
         extent=(ex, ey),
         distance=geom.D,

@@ -4,8 +4,8 @@ Panel power is a tensor Gauss-Legendre quadrature of the irradiance
 over the panel rectangle, with the order raised 1.5x until two
 successive values agree to ``numerics.target_rel`` (0.1% by default).
 Quadrature nodes are evaluated directly through the diffraction
-engine, never interpolated from a map, so steep beam edges cannot leak
-interpolation error into the power.
+engine (on their tensor grid), never interpolated from a map, so steep
+beam edges cannot leak interpolation error into the power.
 
 The beam-center shift is reported with two metrics: the canonical
 shift_y is the irradiance-weighted centroid over an analysis window of
@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffraction import field_at_points, irradiance_at_point, required_aperture_resolution
+# field_at_points is not called here but stays bound, because the
+# benchmark's recorder test (bench/test_reference.py) reads it here.
+from .diffraction import (  # noqa: F401
+    field_at_points,
+    field_on_grid,
+    irradiance_at_point,
+    required_aperture_resolution,
+)
 from .errors import ConvergenceError, DegenerateMapError, ValidationError
 from .source import build_aperture_grid
 
@@ -97,7 +104,9 @@ def _gauss_nodes(half_x: float, half_y: float, order: int):
 
     The irradiance is exactly even in x (mirror-symmetric aperture,
     heights independent of x), so only the x >= 0 half of the grid is
-    returned, with doubled x-weights. Requires an even order.
+    returned, with doubled x-weights. Requires an even order. Returns
+    (order/2, order) arrays x, y and weight; x[:, 0] and y[0] are the
+    axes.
     """
     if order % 2:
         raise ValueError(f"quadrature order must be even, got {order}")
@@ -108,22 +117,15 @@ def _gauss_nodes(half_x: float, half_y: float, order: int):
     ys = t * half_y
     wy = w * half_y
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    wg = np.outer(wx, wy)
-    return xg.ravel(), yg.ravel(), wg.ravel()
+    return xg, yg, np.outer(wx, wy)
 
 
 def _window_integrals(grid, scenario, half_x, half_y, order):
     """(integral of I, integral of y*I) over the window, plus totals."""
     xg, yg, wg = _gauss_nodes(half_x, half_y, order)
     geom = scenario.geometry
-    e = field_at_points(
-        grid,
-        geom,
-        scenario.active_dust(),
-        scenario.laser.wavelength,
-        xg,
-        yg,
-        np.full(xg.size, geom.D),
+    e = field_on_grid(
+        grid, geom, scenario.active_dust(), scenario.laser.wavelength, xg[:, 0], yg[0], geom.D
     )
     irr = irradiance_at_point(e, scenario.laser.eta)
     total = float(np.sum(wg * irr))
@@ -136,16 +138,10 @@ def _line_peak(grid, scenario, half_y: float) -> float:
     geom = scenario.geometry
 
     def irr_at(ys: np.ndarray) -> np.ndarray:
-        e = field_at_points(
-            grid,
-            geom,
-            scenario.active_dust(),
-            scenario.laser.wavelength,
-            np.zeros(ys.size),
-            ys,
-            np.full(ys.size, geom.D),
+        e = field_on_grid(
+            grid, geom, scenario.active_dust(), scenario.laser.wavelength, [0.0], ys, geom.D
         )
-        return irradiance_at_point(e, scenario.laser.eta)
+        return irradiance_at_point(e[0], scenario.laser.eta)
 
     ys = np.linspace(-half_y, half_y, 601)
     vals = irr_at(ys)

@@ -8,7 +8,9 @@ The aperture integral is discretized on a tensor-product midpoint grid
 masked by the disk; cells straddling the rim are weighted by their
 exact overlap area with the disk (computed by subdivision) and their
 node is moved to the overlap centroid, which keeps every node strictly
-inside the aperture.
+inside the aperture. The full interior cells keep their lattice
+positions, and the grid records them as a matrix on the cell-centre
+axis, which the separable propagation kernel sums by matrix products.
 """
 
 from __future__ import annotations
@@ -109,6 +111,16 @@ class ApertureGrid:
         Field amplitude at each node [V/m].
     resolution : int
         Cells per axis of the underlying tensor grid.
+    axis : ndarray or None
+        Cell-centre coordinates [m] of the lattice rows and columns
+        that hold full interior cells, for grids from
+        build_aperture_grid; None for node sets built by hand.
+    lattice : ndarray or None
+        weight * e0 [V m] of the full interior cells, with cell (i, j)
+        centred at (axis[i], axis[j]); zero at rim and outside cells.
+    lattice_nodes : int
+        The first lattice_nodes nodes are those interior cells; the
+        remaining nodes are the rim cells.
     """
 
     x: np.ndarray
@@ -116,10 +128,14 @@ class ApertureGrid:
     weight: np.ndarray
     e0: np.ndarray
     resolution: int
+    axis: np.ndarray | None = None
+    lattice: np.ndarray | None = None
+    lattice_nodes: int = 0
 
     def __post_init__(self):
-        for arr in (self.x, self.y, self.weight, self.e0):
-            arr.setflags(write=False)
+        for arr in (self.x, self.y, self.weight, self.e0, self.axis, self.lattice):
+            if arr is not None:
+                arr.setflags(write=False)
 
     def discrete_power(self, eta: float) -> float:
         """Power carried by the discretized field [W]."""
@@ -180,7 +196,21 @@ def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     w = np.concatenate(ws)
-    grid = ApertureGrid(x=x, y=y, weight=w, e0=np.asarray(aperture_field(ls, x, y)), resolution=res)
+    e0 = np.asarray(aperture_field(ls, x, y))
+
+    # Interior cells in lattice form, trimmed to the rows and columns
+    # that hold any (the disk is symmetric, so both axes keep the same
+    # index range): every lattice row then carries a node.
+    n_inside = int(np.count_nonzero(inside))
+    lattice = np.zeros(res * res)
+    lattice[inside] = w[:n_inside] * e0[:n_inside]
+    used = np.flatnonzero(inside.reshape(res, res).any(axis=1))
+    keep = slice(used[0], used[-1] + 1)
+    grid = ApertureGrid(
+        x=x, y=y, weight=w, e0=e0, resolution=res,
+        axis=centers[keep], lattice=lattice.reshape(res, res)[keep, keep],
+        lattice_nodes=n_inside,
+    )
 
     power = grid.discrete_power(ls.eta)
     if abs(power - ls.P0) > _POWER_RTOL * ls.P0:

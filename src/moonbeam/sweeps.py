@@ -297,7 +297,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             row = _axis_skeleton(values)
             if err is None:
                 try:
-                    imap = compute_irradiance_map(scen, workers=n_workers)
+                    imap = compute_irradiance_map(scen)
                     maps.append(imap)
                     row["max_irradiance_W_m2"] = float(imap.values.max())
                     row["shift_y_m"] = beam_shift(imap)

@@ -1,17 +1,19 @@
 """Tests for the element-sum diffraction engine against analytic oracles."""
 
 import cmath
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from moonbeam.diffraction import (
     compute_irradiance_map,
     field_at_point,
     field_at_points,
+    field_on_grid,
     free_space_gaussian_irradiance,
     gaussian_beam_radius,
     irradiance_at_point,
@@ -291,8 +293,63 @@ def test_map_validation():
         compute_irradiance_map(s, resolution=16)
 
 
-def test_map_worker_split_is_exact():
-    s = default_scenario()
-    serial = compute_irradiance_map(s, resolution=(32, 36), workers=1)
-    parallel = compute_irradiance_map(s, resolution=(32, 36), workers=2)
-    assert np.array_equal(serial.values, parallel.values)
+#: Agreement required between field_on_grid and the direct sum on the
+#: same nodes, as a fraction of the beam's max |E| (over the drawn points
+#: and the beam axis). The first-order corrected Fresnel sum leaves
+#: second-order terms, bounded per pair by _FRESNEL_REMAINDER_MAX = 1e-6
+#: of its magnitude. Their sum scales with the beam, not with the local
+#: field: at a dark point alone the error can reach ~1e-8 of |E| there.
+GRID_FIELD_RTOL = 1e-8
+
+
+@st.composite
+def grid_links(draw):
+    """Link, aperture lattice and destination axes inside the shift window."""
+    geom = ScenarioGeometry(
+        D=draw(st.floats(1000.0, 50000.0)),
+        h0=draw(st.floats(1.0, 20.0)),
+        hp=draw(st.floats(1.0, 20.0)),
+    )
+    dust = None
+    if draw(st.booleans()):
+        dust = DustModel(d_p=175e-9, C_ext=draw(st.floats(0.0, 3e-13)))
+    ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
+    grid = build_aperture_grid(ls, draw(st.integers(64, 128)))
+    half = 0.75  # three half-extents of the default 0.5 m panel
+    axis = st.lists(st.floats(-half, half), min_size=1, max_size=6)
+    return grid, geom, dust, ls.wavelength, np.array(draw(axis)), np.array(draw(axis))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=grid_links())
+def test_grid_field_matches_direct_sum(case, caplog):
+    grid, geom, dust, wavelength, xs, ys = case
+    caplog.clear()
+    e = field_on_grid(grid, geom, dust, wavelength, xs, ys, geom.D)
+    assert not caplog.records  # the separable path ran
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    ref = field_at_points(grid, geom, dust, wavelength, xg, yg, geom.D)
+    on_axis = field_at_points(grid, geom, dust, wavelength, 0.0, 0.0, geom.D)
+    assert e.shape == (xs.size, ys.size)
+    scale = max(np.max(np.abs(ref)), abs(on_axis))
+    assert np.max(np.abs(e - ref)) <= GRID_FIELD_RTOL * scale
+
+
+@pytest.mark.parametrize("dusty", [False, True])
+def test_grid_field_beyond_the_bound_is_the_direct_sum(dusty, caplog):
+    # At 300 m the shift window's corner rays leave a remainder bound of
+    # ~1e-3, far above the separable limit.
+    ls = wide_source()
+    grid = build_aperture_grid(ls, 64)
+    geom = ScenarioGeometry(D=300.0, h0=2.0, hp=2.0)
+    dust = DustModel(d_p=175e-9, C_ext=5e-14) if dusty else None
+    xs = np.linspace(0.0, 0.75, 5)
+    ys = np.linspace(-0.75, 0.75, 7)
+    with caplog.at_level(logging.WARNING, logger="moonbeam"):
+        e = field_on_grid(grid, geom, dust, ls.wavelength, xs, ys, 300.0)
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    assert np.array_equal(e, field_at_points(grid, geom, dust, ls.wavelength, xg, yg, 300.0))
+    [record] = caplog.records
+    assert f"{grid.x.size * 35:.3g} pairs" in record.getMessage()
+    assert "z = 300 m" in record.getMessage()

@@ -1,10 +1,15 @@
 """Tests for panel power integration and beam-shift metrics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moonbeam
 from moonbeam import receiver
 from moonbeam.diffraction import IrradianceMap, gaussian_beam_radius
 from moonbeam.errors import ConvergenceError, DegenerateMapError, ValidationError
@@ -135,6 +140,26 @@ def test_shift_refinement_stops_at_the_order_ceiling(monkeypatch):
         }))
     assert max(orders) <= 60
     assert [order for order, _ in err.value.history] == [36, 54]
+
+
+def test_dusty_panel_power_is_identical_under_one_and_two_blas_threads():
+    # The separable propagation runs on BLAS matrix products; their
+    # reduction order must not depend on the thread count.
+    code = (
+        "from moonbeam import panel_power, scenario_from_mapping\n"
+        "print(repr(panel_power(scenario_from_mapping({'dust.enabled': True,"
+        " 'dust.cext_source': 'explicit', 'dust.cext': 5.2139e-14}))))"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(moonbeam.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=600,
+        ).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("PanelResult(power=718.10")
 
 
 def test_result_row_zeroes_dust_columns_when_disabled():

@@ -110,3 +110,14 @@ def test_grid_arrays_are_read_only():
     grid = build_aperture_grid(default_source(), 16)
     with pytest.raises(ValueError):
         grid.x[0] = 1.0
+
+
+def test_lattice_holds_the_interior_nodes():
+    grid = build_aperture_grid(default_source(), 40)
+    n = grid.lattice_nodes
+    i = np.searchsorted(grid.axis, grid.x[:n])
+    j = np.searchsorted(grid.axis, grid.y[:n])
+    assert np.array_equal(grid.axis[i], grid.x[:n]) and np.array_equal(grid.axis[j], grid.y[:n])
+    assert np.array_equal(grid.lattice[i, j], grid.weight[:n] * grid.e0[:n])
+    assert np.count_nonzero(grid.lattice) == n
+    assert grid.lattice.shape == (grid.axis.size, grid.axis.size)
