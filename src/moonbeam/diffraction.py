@@ -19,10 +19,13 @@ Two evaluations of that sum:
   column depends only on its two endpoint heights, that is on (y0, y).
   With the Fresnel expansion of R about z and its first-order
   correction (1/R, the quartic phase, the column's rho^2/2z), the
-  lattice sum factorizes into a few real and complex matrix products;
-  the rim nodes are added by the direct sum. A bound on the dropped
-  second-order terms is checked first, and the whole grid takes the
-  direct sum when it exceeds _FRESNEL_REMAINDER_MAX.
+  lattice sum factorizes into a few real and complex matrix products.
+  The rim nodes factorize the same way as a diagonal node set,
+  Kx * diag(a) * Ky^T, with the transcendental factors evaluated once
+  per distinct rim coordinate. A bound on the dropped second-order
+  terms over all nodes is checked first, and the whole grid takes the
+  direct sum when it exceeds _FRESNEL_REMAINDER_MAX; a direct sum of
+  more than _DIRECT_PAIRS_MAX pairs is refused instead.
 
 Both are deterministic: the reduction order depends only on the array
 shapes, never on the worker or BLAS thread count.
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dust import DustModel
-from .errors import NumericalError, TerrainError, ValidationError
+from .errors import NumericalError, ResolutionError, TerrainError, ValidationError
 from .geometry import PathPoint, ScenarioGeometry
 from .phase import mean_density
 from .source import ApertureGrid, LaserSource, build_aperture_grid
@@ -61,6 +64,11 @@ _BLOCK_ELEMENTS = 2_000_000
 #: the bound is 7.3e-7. Shorter ranges and wider grids take the direct
 #: sum.
 _FRESNEL_REMAINDER_MAX = 1e-6
+
+#: Largest direct sum, in node x point pairs, that field_on_grid runs
+#: when its grid is beyond the separable bound: about a minute at the
+#: direct kernel's 1e7 to 2e7 pairs/s. Larger sums are refused.
+_DIRECT_PAIRS_MAX = 1e9
 
 #: Rounding allowance, relative to the summed pair magnitudes, when the
 #: separable field is checked against the direct sum. Phases of up to
@@ -139,30 +147,22 @@ def field_at_points(
     if np.any(z <= 0.0):
         raise ValidationError("destination points must lie at z > 0")
 
-    out = _direct_sum(grid.x, grid.y, grid.weight * grid.e0 / wavelength,
-                      geom, dust, wavelength, x, y, z)
-    return out.reshape(shape)
-
-
-def _direct_sum(gx, gy, src_amp, geom, dust, wavelength, x, y, z):
-    """Field at flat points (x, y, z) of the nodes (gx, gy) with
-    amplitudes src_amp = weight * e0 / wavelength: the body of
-    :func:`field_at_points`."""
     k = 2.0 * math.pi / wavelength
     if dust is not None:
-        h_src, h_dst = _ray_heights(geom, gy, y, z)
+        h_src, h_dst = _ray_heights(geom, grid.y, y, z)
         hs, src_row = np.unique(h_src, return_inverse=True)
         hd, dst_row = np.unique(h_dst, return_inverse=True)
         nbar_table = mean_density(dust, hd[:, None], hs[None, :])
         kappa = k * dust.polarizability_volume
 
-    n_nodes = gx.size
+    src_amp = grid.weight * grid.e0 / wavelength
+    n_nodes = grid.x.size
     out = np.empty(x.size, dtype=complex)
     block = max(1, _BLOCK_ELEMENTS // max(n_nodes, 1))
     for start in range(0, x.size, block):
         sl = slice(start, min(start + block, x.size))
-        dx = x[sl, None] - gx[None, :]
-        dy = y[sl, None] - gy[None, :]
+        dx = x[sl, None] - grid.x[None, :]
+        dy = y[sl, None] - grid.y[None, :]
         zz = z[sl, None]
         rho2 = dx * dx + dy * dy
         R = np.sqrt(rho2 + zz * zz)
@@ -178,7 +178,7 @@ def _direct_sum(gx, gy, src_amp, geom, dust, wavelength, x, y, z):
         )
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalError("field accumulation produced non-finite values")
-    return out
+    return out.reshape(shape)
 
 
 def field_at_point(
@@ -228,13 +228,15 @@ def field_on_grid(
     """Complex field on the tensor grid xs x ys at the plane z [V/m].
 
     Returns E with E[i, j] the field at (xs[i], ys[j], z): the sum of
-    :func:`field_at_points` on those points. The lattice nodes of a grid
-    from build_aperture_grid are summed separably (see the module
-    docstring) and its rim nodes directly, and one grid point is
-    checked against field_at_points. When the bound on the separable
-    sum's dropped terms exceeds _FRESNEL_REMAINDER_MAX, or the grid has
-    no lattice, every node is summed by field_at_points and a warning on
-    the ``moonbeam`` logger gives the pair count.
+    :func:`field_at_points` on those points. For a grid from
+    build_aperture_grid, the lattice nodes and, as a diagonal node set,
+    the rim nodes are summed separably (see the module docstring), and
+    one grid point is checked against field_at_points. When the bound
+    on the separable sum's dropped terms exceeds _FRESNEL_REMAINDER_MAX,
+    or the grid has no lattice, every node is summed by field_at_points
+    and a warning on the ``moonbeam`` logger gives the pair count; a
+    direct sum of more than _DIRECT_PAIRS_MAX pairs is refused with a
+    ResolutionError before it starts.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -245,12 +247,22 @@ def field_on_grid(
 
     bound = math.inf
     if grid.lattice is not None:
+        # Source coordinates per axis: the lattice axis, then the
+        # distinct x (or y) values of the rim nodes. Every factor below
+        # is evaluated once per coordinate; rim node n lies at column
+        # rim_ix[n] of the x factors and rim_iy[n] of the y factors.
         u = grid.axis
-        reach = float(np.max(np.abs(u)))
-        rho2 = (float(np.max(np.abs(xs))) + reach) ** 2 + (float(np.max(np.abs(ys))) + reach) ** 2
+        rim = slice(grid.lattice_nodes, None)
+        rim_x, rim_ix = np.unique(grid.x[rim], return_inverse=True)
+        rim_y, rim_iy = np.unique(grid.y[rim], return_inverse=True)
+        cx = np.concatenate([u, rim_x])
+        cy = np.concatenate([u, rim_y])
+        rho2 = (float(np.max(np.abs(xs))) + float(np.max(np.abs(cx)))) ** 2 + (
+            float(np.max(np.abs(ys))) + float(np.max(np.abs(cy)))
+        ) ** 2
         col = 0.0
         if dust is not None:
-            h_src, h_dst = _ray_heights(geom, u, ys, z)
+            h_src, h_dst = _ray_heights(geom, cy, ys, z)
             nbar = mean_density(dust, h_dst[:, None], h_src[None, :])
             c = complex(dust.C_ext, k * dust.polarizability_volume)
             col = abs(c) * float(np.max(nbar))
@@ -258,45 +270,63 @@ def field_on_grid(
 
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     if bound > _FRESNEL_REMAINDER_MAX:
+        pairs = float(grid.x.size) * xg.size
+        if pairs > _DIRECT_PAIRS_MAX:
+            raise ResolutionError(
+                f"direct diffraction sum of {pairs:.3g} pairs at z = {z:g} m exceeds the "
+                f"limit of {_DIRECT_PAIRS_MAX:.3g} pairs (separable remainder bound "
+                f"{bound:.3g} > {_FRESNEL_REMAINDER_MAX:g})"
+            )
         _log.warning(
             "direct diffraction sum of %d nodes x %d points = %.3g pairs at z = %g m "
             "(separable remainder bound %.3g > %g)",
-            grid.x.size, xg.size, float(grid.x.size) * xg.size, z, bound,
-            _FRESNEL_REMAINDER_MAX,
+            grid.x.size, xg.size, pairs, z, bound, _FRESNEL_REMAINDER_MAX,
         )
         return field_at_points(grid, geom, dust, wavelength, xg, yg, z)
 
     # Per pair, a/z * Kx(dx) * Ky(dy) * Dust(y, y0) * (1 + beta*rho^2 +
     # gamma*rho^4), with beta = -1/2z^2 - c*nbar/2z and gamma = jk/8z^3.
     # Expanding rho^2 = dx^2 + dy^2 groups it by dx^0, dx^2 and dx^4.
-    dx2 = (xs[:, None] - u[None, :]) ** 2
-    dy2 = (ys[:, None] - u[None, :]) ** 2
+    dx2 = (xs[:, None] - cx[None, :]) ** 2
+    dy2 = (ys[:, None] - cy[None, :]) ** 2
     q = k / (2.0 * z)
     kx = np.exp(-1j * q * dx2)
-    ky = np.exp(-1j * q * dy2)
     beta = -0.5 / (z * z)
-    if dust is not None:
+    if dust is None:
+        ky = np.exp(-1j * q * dy2)
+    else:
         cn = c * nbar
-        ky = ky * np.exp(-z * cn)
+        ky = np.exp(-1j * q * dy2 - z * cn)
         beta = beta - cn / (2.0 * z)
     gamma = 1j * k / (8.0 * z**3)
-    # The contractions run in einsum's loops, whose summation order is
-    # fixed by the shapes; OpenBLAS matmul changes it with its thread
-    # count. The lattice is real, so the first one is a real product.
-    left = np.concatenate([kx, kx * dx2, kx * (dx2 * dx2)])
-    la = np.einsum("ik,kj->ij", np.concatenate([left.real, left.imag]), grid.lattice / wavelength)
-    la = la[: left.shape[0]] + 1j * la[left.shape[0]:]
+    left = (kx, kx * dx2, kx * (dx2 * dx2))
     right = (
         ky * (1.0 + beta * dy2 + gamma * (dy2 * dy2)),
         ky * (beta + 2.0 * gamma * dy2),
         ky * gamma,
     )
-    e = np.einsum("ik,jk->ij", np.hstack(np.split(la, 3)), np.hstack(right)) / z
-    rim = slice(grid.lattice_nodes, None)
-    e += _direct_sum(
-        grid.x[rim], grid.y[rim], grid.weight[rim] * grid.e0[rim] / wavelength,
-        geom, dust, wavelength, xg.ravel(), yg.ravel(), np.full(xg.size, z),
-    ).reshape(xg.shape)
+    # The contractions run in einsum's loops, whose summation order is
+    # fixed by the shapes; OpenBLAS matmul changes it with its thread
+    # count. The lattice is real, so its product is a real one.
+    n = u.size
+    lat = np.concatenate([f[:, :n] for f in left])
+    la = np.einsum("ik,kj->ij", np.concatenate([lat.real, lat.imag]), grid.lattice / wavelength)
+    la = la[: lat.shape[0]] + 1j * la[lat.shape[0]:]
+    # The rim nodes' left columns, scaled by their amplitudes, are summed
+    # per distinct y (in a fixed order), where they meet one right column.
+    a = grid.weight[rim] * grid.e0[rim] / wavelength
+    by_y = np.argsort(rim_iy, kind="stable")
+    first = np.searchsorted(rim_iy[by_y], np.arange(rim_y.size))
+    rim_left = [
+        np.add.reduceat(np.take(f[:, n:], rim_ix[by_y], axis=1) * a[by_y], first, axis=1)
+        for f in left
+    ]
+    lat_left = np.split(la, 3)
+    e = np.einsum(
+        "ik,jk->ij",
+        np.hstack([m for p in range(3) for m in (lat_left[p], rim_left[p])]),
+        np.hstack(right),
+    ) / z
     if not np.all(np.isfinite(e.view(float))):
         raise NumericalError("field accumulation produced non-finite values")
 
@@ -305,7 +335,7 @@ def field_on_grid(
     # times its magnitude, and no pair's magnitude exceeds weight*e0/(lambda*z).
     i, j = int(np.argmax(np.abs(xs))), int(np.argmax(np.abs(ys)))
     exact = field_at_points(grid, geom, dust, wavelength, xs[i], ys[j], z)
-    scale = float(np.sum(grid.lattice)) / (wavelength * z)
+    scale = float(np.sum(np.abs(grid.weight * grid.e0))) / (wavelength * z)
     if not abs(e[i, j] - exact) <= (bound + _ROUNDING_RTOL) * scale:
         raise NumericalError(
             f"separable field at ({xs[i]:.6g}, {ys[j]:.6g}, {z:.6g}) m differs from the "

@@ -20,7 +20,8 @@ from moonbeam.diffraction import (
     required_aperture_resolution,
 )
 from moonbeam.dust import DustModel
-from moonbeam.errors import TerrainError, ValidationError
+from moonbeam import diffraction
+from moonbeam.errors import ResolutionError, TerrainError, ValidationError
 from moonbeam.geometry import PathPoint, ScenarioGeometry, endpoint_heights, separation
 from moonbeam.phase import column_density
 from moonbeam.scenario import scenario_from_mapping
@@ -353,3 +354,91 @@ def test_grid_field_beyond_the_bound_is_the_direct_sum(dusty, caplog):
     [record] = caplog.records
     assert f"{grid.x.size * 35:.3g} pairs" in record.getMessage()
     assert "z = 300 m" in record.getMessage()
+
+
+def test_grid_field_beyond_the_pair_limit_is_refused(monkeypatch):
+    # The 300 m fallback above sums 35 points x ~3.2e3 nodes; with the
+    # limit one pair below that, the sum is refused before it starts.
+    ls = wide_source()
+    grid = build_aperture_grid(ls, 64)
+    geom = ScenarioGeometry(D=300.0, h0=2.0, hp=2.0)
+    xs = np.linspace(0.0, 0.75, 5)
+    ys = np.linspace(-0.75, 0.75, 7)
+    pairs = grid.x.size * xs.size * ys.size
+    monkeypatch.setattr(diffraction, "_DIRECT_PAIRS_MAX", pairs - 1)
+
+    def no_sum(*args):
+        raise AssertionError("the direct sum ran")
+
+    monkeypatch.setattr(diffraction, "field_at_points", no_sum)
+    with pytest.raises(ResolutionError) as err:
+        field_on_grid(grid, geom, None, ls.wavelength, xs, ys, 300.0)
+    message = str(err.value)
+    assert f"{pairs:.3g} pairs" in message
+    assert "z = 300 m" in message
+    assert f"limit of {pairs - 1:.3g} pairs" in message
+
+
+#: Agreement required between field_on_grid and the direct sum on the rim
+#: nodes alone, as a fraction of the rim's sum of pair magnitudes
+#: sum(weight * e0) / (lambda * z). It is ten times below the per-pair
+#: remainder limit _FRESNEL_REMAINDER_MAX. A wrong first-order term of the
+#: rim shows far above it: at the 1 km window corner the quartic phase is
+#: ~1e-3 of a pair and the dust column's rho^2/2z term a few 1e-4, against
+#: a second-order remainder below 1e-6 that also partly cancels over the
+#: ring of rim nodes.
+RIM_FIELD_RTOL = 1e-7
+
+
+def rim_only(grid):
+    """The rim nodes of a built grid, with an all-zero lattice."""
+    rim = slice(grid.lattice_nodes, None)
+    return ApertureGrid(
+        x=grid.x[rim], y=grid.y[rim], weight=grid.weight[rim], e0=grid.e0[rim],
+        resolution=grid.resolution, axis=grid.axis, lattice=np.zeros_like(grid.lattice),
+        lattice_nodes=0,
+    )
+
+
+@pytest.mark.parametrize("line", [True, False], ids=["line", "window"])
+@pytest.mark.parametrize("dusty", [False, True], ids=["clear", "dust"])
+@pytest.mark.parametrize("D", [1000.0, 5000.0])
+def test_rim_field_matches_direct_sum(D, dusty, line, caplog):
+    ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
+    half = 0.75  # the shift window of the default 0.5 m panel
+    grid = rim_only(
+        build_aperture_grid(ls, required_aperture_resolution(ls, D, math.hypot(half, half)))
+    )
+    geom = ScenarioGeometry(D=D, h0=2.0, hp=2.0)
+    dust = DustModel(d_p=175e-9, C_ext=5.257e-14) if dusty else None
+    xs = np.array([0.0]) if line else np.linspace(0.0, half, 6)
+    ys = np.linspace(-half, half, 41 if line else 11)
+    with caplog.at_level(logging.WARNING, logger="moonbeam"):
+        e = field_on_grid(grid, geom, dust, ls.wavelength, xs, ys, D)
+    assert not caplog.records  # the separable path ran
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    ref = field_at_points(grid, geom, dust, ls.wavelength, xg, yg, D)
+    scale = np.sum(grid.weight * grid.e0) / (ls.wavelength * D)
+    assert np.max(np.abs(e - ref)) <= RIM_FIELD_RTOL * scale
+
+
+def test_separable_grid_sums_only_one_point_directly(monkeypatch):
+    # A near-range shift window: res 168, 41 x 82 points, dust at 5 km.
+    ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
+    grid = build_aperture_grid(ls, 168)
+    geom = ScenarioGeometry(D=5000.0, h0=2.0, hp=2.0)
+    dust = DustModel(d_p=175e-9, C_ext=5.257e-14)
+    points = []
+    direct = diffraction.field_at_points
+
+    def counting(grid_, geom_, dust_, wavelength, xs, ys, zs):
+        points.append(np.broadcast(xs, ys, zs).size)
+        return direct(grid_, geom_, dust_, wavelength, xs, ys, zs)
+
+    monkeypatch.setattr(diffraction, "field_at_points", counting)
+    e = field_on_grid(
+        grid, geom, dust, ls.wavelength, np.linspace(0.0, 0.75, 41), np.linspace(-0.75, 0.75, 82),
+        5000.0,
+    )
+    assert e.shape == (41, 82)
+    assert points == [1]
