@@ -63,6 +63,23 @@ def test_config_hash_tracks_values():
     assert len(a.config_hash()) == 16
 
 
+def test_config_hash_pins():
+    # Sweep manifests record config_hash; these values keep old manifests
+    # comparable. The second config sets a key in every section and a
+    # non-null value for several nullable keys.
+    assert scenario_from_mapping({}).config_hash() == "e6366f5bedd486ed"
+    s = scenario_from_mapping({
+        "dust.enabled": True,
+        "dust.cext_source": "calibrated",
+        "dust.calibration.reference_power": 910.0,
+        "dust.calibration.h0": 12.0,
+        "outputs.directory": "out",
+        "outputs.write_pgm": False,
+        "numerics.aperture_resolution": 96,
+    })
+    assert s.config_hash() == "ef345d761030cbdb"
+
+
 def test_with_updates_keeps_frozen_semantics():
     s = scenario_from_mapping({})
     t = s.with_updates(dust_enabled=True)
