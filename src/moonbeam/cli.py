@@ -33,7 +33,7 @@ from .geometry import PathPoint, ScenarioGeometry
 from .mapio import format_value, write_map_csv, write_map_pgm, write_table_csv
 from .phase import cumulative_phase, cumulative_phase_quadrature
 from .receiver import RESULT_COLUMNS, panel_power, result_row
-from .scenario import Scenario, mapping_from_text, resolve_cext, scenario_from_mapping
+from .scenario import CONFIG_KEYS, Scenario, mapping_from_text, resolve_cext, scenario_from_mapping
 from .source import LaserSource, build_aperture_grid
 from .sweeps import SWEEP_KINDS, SweepSpec, run_sweep
 
@@ -55,21 +55,12 @@ def _build_parser() -> _Parser:
                        help="path to a JSON config, or 'default' for built-in defaults")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one dotted config key (repeatable)")
-        p.add_argument("--distance", type=float, help="center-to-center distance [m]")
-        p.add_argument("--source-height", type=float, help="source center height [m]")
-        p.add_argument("--panel-height", type=float, help="panel center height [m]")
-        p.add_argument("--particle-diameter", type=float, help="dust particle diameter [m]")
+        for key in CONFIG_KEYS:
+            if key.flag is not None:
+                p.add_argument(key.flag, type=key.type, choices=key.choices, help=key.help)
         dust = p.add_mutually_exclusive_group()
         dust.add_argument("--dust", action="store_true", help="enable the dust medium")
         dust.add_argument("--no-dust", action="store_true", help="disable the dust medium")
-        p.add_argument("--cext", type=float,
-                       help="explicit extinction cross-section [m^2] (implies --cext-source explicit)")
-        p.add_argument("--cext-source", choices=["mie", "calibrated", "explicit"],
-                       help="how to obtain the extinction cross-section")
-        p.add_argument("--aperture-resolution", type=int,
-                       help="fixed aperture cells per axis (default: sampling rule)")
-        p.add_argument("--workers", type=int, help="parallel worker processes")
-        p.add_argument("--output-dir", help="directory for output files")
 
     p_sim = sub.add_parser("simulate", help="one scenario, PanelResult CSV row to stdout")
     add_scenario_args(p_sim)
@@ -123,26 +114,16 @@ def _scenario_from_args(args) -> Scenario:
             raise ValidationError(f"--set needs KEY=VALUE, got {item!r}")
         overrides[key.strip()] = _parse_set_value(value.strip())
 
-    flag_map = {
-        "distance": "geometry.D",
-        "source_height": "geometry.h0",
-        "panel_height": "geometry.hp",
-        "particle_diameter": "dust.d_p",
-        "cext": "dust.cext",
-        "cext_source": "dust.cext_source",
-        "aperture_resolution": "numerics.aperture_resolution",
-        "workers": "numerics.workers",
-        "output_dir": "outputs.directory",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "dust", False):
+    for key in CONFIG_KEYS:
+        if key.flag is not None:
+            value = getattr(args, key.flag[2:].replace("-", "_"))
+            if value is not None:
+                overrides[key.name] = value
+    if args.dust:
         overrides["dust.enabled"] = True
-    if getattr(args, "no_dust", False):
+    if args.no_dust:
         overrides["dust.enabled"] = False
-    if getattr(args, "cext", None) is not None and overrides.get("dust.cext_source") is None:
+    if args.cext is not None and overrides.get("dust.cext_source") is None:
         overrides["dust.cext_source"] = "explicit"
     if getattr(args, "reference_power", None) is not None:
         overrides["dust.calibration.reference_power"] = args.reference_power

@@ -101,11 +101,6 @@ class PathPoint:
         return cls(x, y, z)
 
 
-def separation(src: PathPoint, dst: PathPoint) -> float:
-    """Euclidean distance between two path points [m]."""
-    return math.dist((src.x, src.y, src.z), (dst.x, dst.y, dst.z))
-
-
 def endpoint_heights(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry) -> tuple[float, float]:
     """Heights above ground of a ray's two endpoints [m].
 

@@ -28,7 +28,7 @@ import scipy  # noqa: F401
 
 from .dust import DustModel, imag_index, particle_density
 from .errors import DomainError, NumericalError, TerrainError
-from .geometry import PathPoint, ScenarioGeometry, endpoint_heights, separation
+from .geometry import PathPoint, ScenarioGeometry, endpoint_heights
 
 # Relative height difference below which the density along the ray is
 # treated as constant (midpoint value). The closed-form mean is stable
@@ -129,7 +129,7 @@ def column_density(dm: DustModel, h1, h2, R):
 
 
 def _ray_inputs(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry):
-    R = separation(src, dst)
+    R = math.dist((src.x, src.y, src.z), (dst.x, dst.y, dst.z))
     h_src, h_dst = endpoint_heights(src, dst, geom)
     if min(h_src, h_dst) <= 0.0:
         raise TerrainError(

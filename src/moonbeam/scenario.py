@@ -3,8 +3,10 @@
 A scenario fully describes one experiment: laser, geometry, dust
 medium, numerics, and output handling. The on-disk form is a single
 JSON object with flat dotted keys (``"geometry.D": 25000``) whose
-values are SI base units throughout; omitted keys take the defaults
-below. CLI flags override config values after parsing.
+values are SI base units throughout. ``CONFIG_KEYS`` lists every key
+with its type and default, which omitted keys take; parsing,
+``Scenario.to_config`` and the CLI's scenario flags all derive from it.
+CLI flags override config values after parsing.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .dust import DustModel
 from .errors import ConfigError, ValidationError
@@ -27,7 +31,20 @@ MAX_DISTANCE = 1e5
 #: model is meaningless for boulders.
 MAX_PARTICLE_DIAMETER = 10e-6
 
-CEXT_SOURCES = ("mie", "calibrated", "explicit")
+#: Cross-section sources and what each does.
+CEXT_SOURCES = {
+    "mie": "compute from particle size",
+    "calibrated": "fit to a reference power",
+    "explicit": "use dust.cext as given",
+}
+
+#: The sources with their meanings, for error messages.
+CEXT_SOURCE_HELP = ", ".join(f"{name} ({meaning})" for name, meaning in CEXT_SOURCES.items())
+
+_NO_CEXT_SOURCE = (
+    f"dust enabled without a cross-section source; set dust.cext_source to one of: "
+    f"{CEXT_SOURCE_HELP}"
+)
 
 OUTPUT_DIR_ENV = "MOONBEAM_OUTPUT_DIR"
 
@@ -114,36 +131,7 @@ class Scenario:
     def to_config(self) -> dict:
         """Fully resolved flat dotted-key form; parsing it back yields
         an identical scenario."""
-        return {
-            "laser.P0": self.laser.P0,
-            "laser.wavelength": self.laser.wavelength,
-            "laser.w0": self.laser.w0,
-            "laser.r_a": self.laser.r_a,
-            "laser.eta": self.laser.eta,
-            "geometry.D": self.geometry.D,
-            "geometry.h0": self.geometry.h0,
-            "geometry.hp": self.geometry.hp,
-            "geometry.L": self.geometry.L,
-            "geometry.W": self.geometry.W,
-            "dust.enabled": self.dust_enabled,
-            "dust.d_p": self.dust.d_p,
-            "dust.m_p": self.dust.m_p,
-            "dust.A": self.dust.A,
-            "dust.H": self.dust.H,
-            "dust.h_floor": self.dust.h_floor,
-            "dust.cext_source": self.cext_source,
-            "dust.cext": self.dust.C_ext,
-            "dust.calibration.reference_power": self.calibration.reference_power,
-            "dust.calibration.D": self.calibration.D,
-            "dust.calibration.h0": self.calibration.h0,
-            "dust.calibration.hp": self.calibration.hp,
-            "numerics.aperture_resolution": self.numerics.aperture_resolution,
-            "numerics.target_rel": self.numerics.target_rel,
-            "numerics.max_refinements": self.numerics.max_refinements,
-            "numerics.workers": self.numerics.workers,
-            "outputs.directory": self.outputs.directory,
-            "outputs.write_pgm": self.outputs.write_pgm,
-        }
+        return {key.name: attrgetter(key.target)(self) for key in CONFIG_KEYS}
 
     def config_hash(self) -> str:
         """Stable hash of the resolved configuration."""
@@ -151,80 +139,122 @@ class Scenario:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_DEFAULTS = {
-    "laser.P0": 1000.0,
-    "laser.wavelength": 1064e-9,
-    "laser.w0": 0.05,
-    "laser.r_a": 0.05,
-    "laser.eta": 377.0,
-    "geometry.D": 5000.0,
-    "geometry.h0": 2.0,
-    "geometry.hp": 2.0,
-    "geometry.L": 0.5,
-    "geometry.W": 0.5,
-    "dust.enabled": False,
-    "dust.d_p": 175e-9,
-    "dust.m_p": 1.733,
-    "dust.A": 4.166e8,
-    "dust.H": 8.68,
-    "dust.h_floor": 1e-3,
-    "dust.cext_source": None,
-    "dust.cext": 0.0,
-    "dust.calibration.reference_power": None,
-    "dust.calibration.D": None,
-    "dust.calibration.h0": None,
-    "dust.calibration.hp": None,
-    "numerics.aperture_resolution": None,
-    "numerics.target_rel": 1e-3,
-    "numerics.max_refinements": 6,
-    "numerics.workers": 1,
-    "outputs.directory": None,
-    "outputs.write_pgm": True,
+@dataclass(frozen=True)
+class ConfigKey:
+    """One dotted config key.
+
+    The key's value sets the ``Scenario`` attribute at the dotted path
+    ``target`` (the key itself when None). A key whose default is None
+    accepts null. ``flag`` and ``help`` make it a scenario flag of the
+    CLI; ``choices`` restricts a string key.
+    """
+
+    name: str
+    type: type
+    default: object
+    target: str | None = None
+    flag: str | None = None
+    help: str | None = None
+    choices: dict | None = None
+
+    def __post_init__(self):
+        if self.target is None:
+            object.__setattr__(self, "target", self.name)
+
+    @property
+    def nullable(self) -> bool:
+        return self.default is None
+
+
+#: Every config key, in documentation order.
+CONFIG_KEYS = (
+    ConfigKey("laser.P0", float, 1000.0),
+    ConfigKey("laser.wavelength", float, 1064e-9),
+    ConfigKey("laser.w0", float, 0.05),
+    ConfigKey("laser.r_a", float, 0.05),
+    ConfigKey("laser.eta", float, 377.0),
+    ConfigKey("geometry.D", float, 5000.0,
+              flag="--distance", help="center-to-center distance [m]"),
+    ConfigKey("geometry.h0", float, 2.0,
+              flag="--source-height", help="source center height [m]"),
+    ConfigKey("geometry.hp", float, 2.0,
+              flag="--panel-height", help="panel center height [m]"),
+    ConfigKey("geometry.L", float, 0.5),
+    ConfigKey("geometry.W", float, 0.5),
+    ConfigKey("dust.enabled", bool, False, target="dust_enabled"),
+    ConfigKey("dust.d_p", float, 175e-9,
+              flag="--particle-diameter", help="dust particle diameter [m]"),
+    ConfigKey("dust.m_p", float, 1.733),
+    ConfigKey("dust.A", float, 4.166e8),
+    ConfigKey("dust.H", float, 8.68),
+    ConfigKey("dust.h_floor", float, 1e-3),
+    ConfigKey("dust.cext_source", str, None, target="cext_source", choices=CEXT_SOURCES,
+              flag="--cext-source", help="how to obtain the extinction cross-section"),
+    ConfigKey("dust.cext", float, 0.0, target="dust.C_ext", flag="--cext",
+              help="explicit extinction cross-section [m^2] (implies --cext-source explicit)"),
+    ConfigKey("dust.calibration.reference_power", float, None,
+              target="calibration.reference_power"),
+    ConfigKey("dust.calibration.D", float, None, target="calibration.D"),
+    ConfigKey("dust.calibration.h0", float, None, target="calibration.h0"),
+    ConfigKey("dust.calibration.hp", float, None, target="calibration.hp"),
+    ConfigKey("numerics.aperture_resolution", int, None, flag="--aperture-resolution",
+              help="fixed aperture cells per axis (default: sampling rule)"),
+    ConfigKey("numerics.target_rel", float, 1e-3),
+    ConfigKey("numerics.max_refinements", int, 6),
+    ConfigKey("numerics.workers", int, 1,
+              flag="--workers", help="parallel worker processes"),
+    ConfigKey("outputs.directory", str, None,
+              flag="--output-dir", help="directory for output files"),
+    ConfigKey("outputs.write_pgm", bool, True),
+)
+
+_KEYS = {key.name: key for key in CONFIG_KEYS}
+
+#: The Scenario field each target section builds; other targets are
+#: Scenario fields themselves.
+_SECTIONS = {
+    "laser": LaserSource,
+    "geometry": ScenarioGeometry,
+    "dust": DustModel,
+    "calibration": CalibrationReference,
+    "numerics": NumericsConfig,
+    "outputs": OutputConfig,
 }
 
-_BOOL_KEYS = {"dust.enabled", "outputs.write_pgm"}
-_STRING_KEYS = {"dust.cext_source", "outputs.directory"}
-_INT_KEYS = {"numerics.aperture_resolution", "numerics.max_refinements", "numerics.workers"}
-_OPTIONAL_KEYS = {
-    "dust.cext_source",
-    "dust.calibration.reference_power",
-    "dust.calibration.D",
-    "dust.calibration.h0",
-    "dust.calibration.hp",
-    "numerics.aperture_resolution",
-    "outputs.directory",
-}
+_TYPE_NAMES = {bool: "a boolean", str: "a string"}
 
 
-def _coerce(key: str, value):
+def _coerce(key: ConfigKey, value):
+    name = key.name
     if value is None:
-        if key in _OPTIONAL_KEYS:
+        if key.nullable:
             return None
-        raise ConfigError(f"config key {key!r} does not accept null")
-    if key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be a boolean, got {value!r}")
-        return value
-    if key in _STRING_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
+        raise ConfigError(f"config key {name!r} does not accept null")
+    if key.type in _TYPE_NAMES:
+        if not isinstance(value, key.type):
+            raise ConfigError(f"config key {name!r} must be {_TYPE_NAMES[key.type]}, got {value!r}")
+        if key.choices is not None and value not in key.choices:
+            raise ConfigError(f"{name} must be one of {', '.join(key.choices)}; got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    if key in _INT_KEYS:
+        raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
+    # False for NaN, and exact for ints beyond the float range.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
+    if key.type is int:
         if value != int(value):
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+            raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
         return int(value)
     return float(value)
 
 
 def scenario_from_mapping(overrides: dict) -> Scenario:
     """Build and validate a scenario from dotted-key overrides."""
-    cfg = dict(_DEFAULTS)
-    for key, value in overrides.items():
-        if key not in cfg:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = _coerce(key, value)
+    cfg = {key.name: key.default for key in CONFIG_KEYS}
+    for name, value in overrides.items():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown config key {name!r}")
+        cfg[name] = _coerce(_KEYS[name], value)
 
     d_p = cfg["dust.d_p"]
     if d_p > MAX_PARTICLE_DIAMETER:
@@ -254,16 +284,8 @@ def scenario_from_mapping(overrides: dict) -> Scenario:
         raise ValidationError(f"panel below minimum height: hp={hp} m")
 
     source_mode = cfg["dust.cext_source"]
-    if source_mode is not None and source_mode not in CEXT_SOURCES:
-        raise ValidationError(
-            f"dust.cext_source must be one of {', '.join(CEXT_SOURCES)}; got {source_mode!r}"
-        )
     if cfg["dust.enabled"] and source_mode is None:
-        raise ValidationError(
-            "dust enabled without a cross-section source; set dust.cext_source to "
-            "one of: mie (compute from particle size), calibrated (fit to a "
-            "reference power), explicit (use dust.cext as given)"
-        )
+        raise ValidationError(_NO_CEXT_SOURCE)
     if source_mode == "explicit" and cfg["dust.cext"] <= 0.0:
         raise ValidationError(
             "dust.cext_source=explicit requires a positive dust.cext value"
@@ -273,48 +295,12 @@ def scenario_from_mapping(overrides: dict) -> Scenario:
             "dust.cext_source=calibrated requires dust.calibration.reference_power"
         )
 
-    return Scenario(
-        laser=LaserSource(
-            P0=cfg["laser.P0"],
-            w0=cfg["laser.w0"],
-            r_a=cfg["laser.r_a"],
-            wavelength=cfg["laser.wavelength"],
-            eta=cfg["laser.eta"],
-        ),
-        geometry=ScenarioGeometry(
-            D=cfg["geometry.D"],
-            h0=cfg["geometry.h0"],
-            hp=cfg["geometry.hp"],
-            L=cfg["geometry.L"],
-            W=cfg["geometry.W"],
-        ),
-        dust=DustModel(
-            d_p=cfg["dust.d_p"],
-            C_ext=cfg["dust.cext"],
-            m_p=cfg["dust.m_p"],
-            A=cfg["dust.A"],
-            H=cfg["dust.H"],
-            h_floor=cfg["dust.h_floor"],
-        ),
-        dust_enabled=cfg["dust.enabled"],
-        cext_source=cfg["dust.cext_source"],
-        calibration=CalibrationReference(
-            reference_power=cfg["dust.calibration.reference_power"],
-            D=cfg["dust.calibration.D"],
-            h0=cfg["dust.calibration.h0"],
-            hp=cfg["dust.calibration.hp"],
-        ),
-        numerics=NumericsConfig(
-            aperture_resolution=cfg["numerics.aperture_resolution"],
-            target_rel=cfg["numerics.target_rel"],
-            max_refinements=cfg["numerics.max_refinements"],
-            workers=cfg["numerics.workers"],
-        ),
-        outputs=OutputConfig(
-            directory=cfg["outputs.directory"],
-            write_pgm=cfg["outputs.write_pgm"],
-        ),
-    )
+    sections = {section: {} for section in _SECTIONS}
+    top = {}
+    for key in CONFIG_KEYS:
+        section, _, attr = key.target.rpartition(".")
+        (sections[section] if section else top)[attr] = cfg[key.name]
+    return Scenario(**{s: cls(**sections[s]) for s, cls in _SECTIONS.items()}, **top)
 
 
 def mapping_from_text(config_text: str) -> dict:
@@ -381,7 +367,4 @@ def resolve_cext(scenario: Scenario) -> Scenario:
         )
         c = calibrate_cext(scenario.with_updates(geometry=ref_geom), ref.reference_power)
         return scenario.with_updates(dust=replace(scenario.dust, C_ext=c))
-    raise ValidationError(
-        "dust enabled without a cross-section source; set dust.cext_source to "
-        "one of: mie, calibrated, explicit"
-    )
+    raise ValidationError(_NO_CEXT_SOURCE)

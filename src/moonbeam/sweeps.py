@@ -27,7 +27,7 @@ from .errors import BeamError, ConvergenceError, NumericalError, ValidationError
 from .geometry import PathPoint, ScenarioGeometry
 from .phase import cumulative_phase
 from .receiver import RESULT_COLUMNS, beam_shift, panel_power, result_row
-from .scenario import MAX_DISTANCE, Scenario, resolve_cext
+from .scenario import CEXT_SOURCE_HELP, MAX_DISTANCE, Scenario, resolve_cext
 
 SWEEP_KINDS = (
     "distance",
@@ -99,8 +99,7 @@ class SweepSpec:
         if self.kind in _KINDS_NEEDING_CEXT and self.base.cext_source is None:
             raise ValidationError(
                 f"sweep kind {self.kind!r} needs dust.cext_source set to one of: "
-                "mie (compute from particle size), calibrated (fit to a reference "
-                "power), explicit (use dust.cext as given); it does not default"
+                f"{CEXT_SOURCE_HELP}; it does not default"
             )
 
 

@@ -93,6 +93,21 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("source", ["config", "set"])
+def test_non_finite_config_number_is_a_usage_error(tmp_path, capsys, source):
+    # json parses NaN and Infinity, in config files and in --set values.
+    if source == "config":
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"geometry.hp": NaN}')
+        argv = ["--config", str(cfg)]
+    else:
+        argv = ["--set", "numerics.aperture_resolution=Infinity"]
+    code, out, err = run(capsys, "simulate", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
+
+
 def test_missing_config_file_is_io_error(capsys):
     code, _, err = run(capsys, "simulate", "--config", "/no/such/config.json")
     assert code == 3

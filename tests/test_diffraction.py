@@ -22,7 +22,7 @@ from moonbeam.diffraction import (
 from moonbeam.dust import DustModel
 from moonbeam import diffraction
 from moonbeam.errors import ResolutionError, TerrainError, ValidationError
-from moonbeam.geometry import PathPoint, ScenarioGeometry, endpoint_heights, separation
+from moonbeam.geometry import PathPoint, ScenarioGeometry, endpoint_heights
 from moonbeam.phase import column_density
 from moonbeam.scenario import scenario_from_mapping
 from moonbeam.source import ApertureGrid, LaserSource, build_aperture_grid
@@ -214,7 +214,7 @@ def reference_field(grid, geom, dust, wavelength, xs, ys, zs):
         total, scale = 0j, 0.0
         for gx, gy, w, e0 in zip(grid.x, grid.y, grid.weight, grid.e0):
             src = PathPoint.source(gx, gy)
-            R = separation(src, dst)
+            R = math.dist((gx, gy, 0.0), (x, y, z))
             h_src, h_dst = endpoint_heights(src, dst, geom)
             cn = column_density(dust, h_src, h_dst, R)
             rho2 = (x - gx) ** 2 + (y - gy) ** 2

@@ -9,7 +9,6 @@ from moonbeam.geometry import (
     PathPoint,
     ScenarioGeometry,
     endpoint_heights,
-    separation,
     tilt_angle,
 )
 
@@ -61,10 +60,6 @@ def test_path_point_rejects_non_finite():
         PathPoint(0.0, math.nan, 1.0)
     with pytest.raises(DomainError, match="finite"):
         PathPoint(math.inf, 0.0, 1.0)
-
-
-def test_separation_pythagorean():
-    assert separation(PathPoint(0.0, 0.0, 0.0), PathPoint(3.0, 0.0, 4.0)) == 5.0
 
 
 def test_endpoint_heights_at_plane_centers():

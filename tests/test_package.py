@@ -1,5 +1,6 @@
-"""Tests of the package surface: import cost and the README example."""
+"""Tests of the package surface: import cost, exports and README."""
 
+import json
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import moonbeam
+from moonbeam.scenario import CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +35,26 @@ def test_readme_python_example_runs(capsys):
     assert 0.0 < power < 1000.0
     assert efficiency == power / 1000.0
     assert shift > 0.0
+
+
+def _readme_section(title):
+    text = README.read_text()
+    start = text.index(f"## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else None]
+
+
+def test_readme_key_table_matches_code_table():
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", _readme_section("Configuration keys"), re.M)
+    assert [name for name, _ in rows] == [key.name for key in CONFIG_KEYS]
+    for (name, default), key in zip(rows, CONFIG_KEYS):
+        value = json.loads(default)
+        assert value == key.default and type(value) is type(key.default), name
+
+
+def test_readme_python_api_names_every_export():
+    prose = re.sub(r"```.*?```", "", _readme_section("Python API"), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    named = set(re.findall(r"\w+", " ".join(spans)))
+    # field_at_points is exported for the benchmark's recorder test only.
+    assert set(moonbeam.__all__) - named == {"field_at_points"}

@@ -1,12 +1,18 @@
 """Tests for scenario configuration parsing, validation, round-trip."""
 
 import json
+import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from moonbeam.dust import mie_extinction_cross_section
 from moonbeam.errors import ConfigError, ValidationError
 from moonbeam.scenario import (
+    CONFIG_KEYS,
+    MAX_DISTANCE,
+    MAX_PARTICLE_DIAMETER,
     NumericsConfig,
     OutputConfig,
     OUTPUT_DIR_ENV,
@@ -15,6 +21,56 @@ from moonbeam.scenario import (
     parse_and_validate,
     resolve_cext,
     scenario_from_mapping,
+)
+
+# Valid ranges of the numeric keys. Heights of at least 1 m with a
+# panel and aperture of at most 1 m clear the ground; h_floor stays
+# under the dust ceiling H.
+VALID_RANGES = {
+    "laser.P0": (1.0, 1e4),
+    "laser.wavelength": (2e-7, 2e-6),
+    "laser.w0": (0.01, 0.5),
+    "laser.r_a": (0.01, 0.5),
+    "laser.eta": (1.0, 1e3),
+    "geometry.D": (1.0, MAX_DISTANCE),
+    "geometry.h0": (1.0, 100.0),
+    "geometry.hp": (1.0, 100.0),
+    "geometry.L": (0.01, 1.0),
+    "geometry.W": (0.01, 1.0),
+    "dust.d_p": (1e-9, MAX_PARTICLE_DIAMETER),
+    "dust.m_p": (1.0, 3.0),
+    "dust.A": (1.0, 1e10),
+    "dust.H": (1.0, 100.0),
+    "dust.h_floor": (1e-4, 0.5),
+    "dust.cext": (1e-20, 1e-10),
+    "dust.calibration.reference_power": (1e-3, 1e4),
+    "dust.calibration.D": (1.0, MAX_DISTANCE),
+    "dust.calibration.h0": (1.0, 100.0),
+    "dust.calibration.hp": (1.0, 100.0),
+    "numerics.aperture_resolution": (8, 512),
+    "numerics.target_rel": (1e-6, 0.05),
+    "numerics.max_refinements": (1, 10),
+    "numerics.workers": (1, 8),
+}
+
+
+def _value_strategy(key):
+    if key.type is bool:
+        base = st.booleans()
+    elif key.choices is not None:
+        base = st.sampled_from(list(key.choices))
+    elif key.type is str:
+        base = st.text(max_size=12)
+    elif key.type is int:
+        base = st.integers(*VALID_RANGES[key.name])
+    else:
+        base = st.floats(*VALID_RANGES[key.name])
+    return st.none() | base if key.nullable else base
+
+
+# Any subset of the keys, each with a value of its type in its range.
+config_mappings = st.fixed_dictionaries(
+    {}, optional={key.name: _value_strategy(key) for key in CONFIG_KEYS}
 )
 
 
@@ -35,21 +91,60 @@ def test_defaults():
     assert s.numerics.workers == 1
 
 
+def test_each_key_sets_its_own_field():
+    # Distinct values, so that two keys with swapped targets would fail.
+    s = scenario_from_mapping({
+        "laser.P0": 900.0, "laser.wavelength": 1.1e-6, "laser.w0": 0.06,
+        "laser.r_a": 0.07, "laser.eta": 370.0,
+        "geometry.D": 6000.0, "geometry.h0": 3.0, "geometry.hp": 4.0,
+        "geometry.L": 0.3, "geometry.W": 0.4,
+        "dust.enabled": True, "dust.d_p": 2e-7, "dust.m_p": 1.6, "dust.A": 4e8,
+        "dust.H": 9.0, "dust.h_floor": 2e-3, "dust.cext_source": "explicit", "dust.cext": 3e-14,
+        "dust.calibration.reference_power": 800.0, "dust.calibration.D": 7000.0,
+        "dust.calibration.h0": 5.0, "dust.calibration.hp": 6.0,
+        "numerics.aperture_resolution": 48, "numerics.target_rel": 2e-3,
+        "numerics.max_refinements": 3, "numerics.workers": 2,
+        "outputs.directory": "out", "outputs.write_pgm": False,
+    })
+    laser, geom, dust, cal = s.laser, s.geometry, s.dust, s.calibration
+    assert (laser.P0, laser.wavelength, laser.w0, laser.r_a, laser.eta) == (
+        900.0, 1.1e-6, 0.06, 0.07, 370.0)
+    assert (geom.D, geom.h0, geom.hp, geom.L, geom.W) == (6000.0, 3.0, 4.0, 0.3, 0.4)
+    assert (s.dust_enabled, dust.d_p, dust.m_p, dust.A, dust.H, dust.h_floor) == (
+        True, 2e-7, 1.6, 4e8, 9.0, 2e-3)
+    assert (s.cext_source, dust.C_ext) == ("explicit", 3e-14)
+    assert (cal.reference_power, cal.D, cal.h0, cal.hp) == (800.0, 7000.0, 5.0, 6.0)
+    n = s.numerics
+    assert (n.aperture_resolution, n.target_rel, n.max_refinements, n.workers) == (48, 2e-3, 3, 2)
+    assert (s.outputs.directory, s.outputs.write_pgm) == ("out", False)
+
+
 def test_overrides_applied():
     s = scenario_from_mapping({"geometry.D": 25000, "laser.P0": 500.0})
     assert s.geometry.D == 25000.0
     assert s.laser.P0 == 500.0
 
 
-def test_to_config_round_trip():
-    s = scenario_from_mapping({
-        "geometry.D": 20000,
-        "dust.enabled": True,
-        "dust.cext_source": "explicit",
-        "dust.cext": 5e-14,
-        "numerics.workers": 2,
-    })
-    again = scenario_from_mapping(s.to_config())
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config_mappings)
+@example({
+    "geometry.D": 20000,
+    "dust.enabled": True,
+    "dust.cext_source": "explicit",
+    "dust.cext": 5e-14,
+    "numerics.workers": 2,
+})
+def test_to_config_round_trip(mapping):
+    source = mapping.get("dust.cext_source")
+    assume(source is not None or not mapping.get("dust.enabled", False))
+    assume(source != "explicit" or mapping.get("dust.cext", 0.0) > 0.0)
+    assume(source != "calibrated"
+           or mapping.get("dust.calibration.reference_power") is not None)
+    s = scenario_from_mapping(mapping)
+    config = s.to_config()
+    assert list(config) == [key.name for key in CONFIG_KEYS]
+    assert {name: config[name] for name in mapping} == mapping
+    again = scenario_from_mapping(config)
     assert again == s
     assert again.config_hash() == s.config_hash()
 
@@ -124,6 +219,15 @@ def test_type_coercion_errors():
         scenario_from_mapping({"numerics.workers": 1.5})
     with pytest.raises(ConfigError, match="null"):
         scenario_from_mapping({"geometry.D": None})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+@pytest.mark.parametrize(
+    "name", [key.name for key in CONFIG_KEYS if key.type in (float, int)]
+)
+def test_non_finite_numbers_rejected(name, value):
+    with pytest.raises(ConfigError, match="must be finite"):
+        scenario_from_mapping({name: value})
 
 
 def test_optional_keys_accept_null():
