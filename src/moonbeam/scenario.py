@@ -42,7 +42,7 @@ CEXT_SOURCES = {
 CEXT_SOURCE_HELP = ", ".join(f"{name} ({meaning})" for name, meaning in CEXT_SOURCES.items())
 
 _NO_CEXT_SOURCE = (
-    f"dust enabled without a cross-section source; set dust.cext_source to one of: "
+    "dust enabled without a cross-section source; set dust.cext_source to one of: "
     f"{CEXT_SOURCE_HELP}"
 )
 
