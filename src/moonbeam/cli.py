@@ -95,11 +95,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_set_value(text: str):
+def _parse_set_value(name: str, text: str):
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError:
         return text  # bare strings (paths, mode names) need no quotes
+    if value is not None and not isinstance(value, str) and any(
+        key.name == name and key.type is str for key in CONFIG_KEYS
+    ):
+        return text  # a string key takes 2024 or true as written
+    return value
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -112,7 +117,7 @@ def _scenario_from_args(args) -> Scenario:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValidationError(f"--set needs KEY=VALUE, got {item!r}")
-        overrides[key.strip()] = _parse_set_value(value.strip())
+        overrides[key.strip()] = _parse_set_value(key.strip(), value.strip())
 
     for key in CONFIG_KEYS:
         if key.flag is not None:
@@ -158,6 +163,17 @@ def _parse_axis(text: str):
     return name.strip(), np.arange(start, stop + step / 2, step)
 
 
+def _write_map_files(imap, outputs, out_dir: str) -> list:
+    """Write a map's CSV and, if outputs.write_pgm, its PGM and scale
+    note into out_dir; returns the paths written."""
+    stem = os.path.join(out_dir, f"map_D{format_value(imap.distance)}")
+    write_map_csv(imap, f"{stem}.csv")
+    if not outputs.write_pgm:
+        return [f"{stem}.csv"]
+    write_map_pgm(imap, f"{stem}.pgm")
+    return [f"{stem}.csv", f"{stem}.pgm", f"{stem}.pgm.scale.txt"]
+
+
 def _cmd_sweep(args) -> int:
     scenario = _scenario_from_args(args)
     axes = dict(_parse_axis(a) for a in args.axis)
@@ -171,12 +187,7 @@ def _cmd_sweep(args) -> int:
     written = [csv_path]
 
     for imap in result.maps:
-        stem = os.path.join(out_dir, f"map_D{format_value(imap.distance)}")
-        write_map_csv(imap, f"{stem}.csv")
-        written.append(f"{stem}.csv")
-        if scenario.outputs.write_pgm:
-            write_map_pgm(imap, f"{stem}.pgm")
-            written.extend([f"{stem}.pgm", f"{stem}.pgm.scale.txt"])
+        written += _write_map_files(imap, scenario.outputs, out_dir)
 
     manifest_path = os.path.join(out_dir, f"{args.kind}_manifest.json")
     with open(manifest_path, "w") as fh:
@@ -198,13 +209,8 @@ def _cmd_map(args) -> int:
     )
     out_dir = scenario.outputs.resolve_directory()
     os.makedirs(out_dir, exist_ok=True)
-    stem = os.path.join(out_dir, f"map_D{format_value(imap.distance)}")
-    write_map_csv(imap, f"{stem}.csv")
-    print(f"{stem}.csv")
-    if scenario.outputs.write_pgm:
-        write_map_pgm(imap, f"{stem}.pgm")
-        print(f"{stem}.pgm")
-        print(f"{stem}.pgm.scale.txt")
+    for path in _write_map_files(imap, scenario.outputs, out_dir):
+        print(path)
     return 0
 
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dust import DustModel
-from .errors import NumericalError, ResolutionError, TerrainError, ValidationError
-from .geometry import PathPoint, ScenarioGeometry
+from .errors import NumericalError, ResolutionError, ValidationError
+from .geometry import PathPoint, ScenarioGeometry, ray_heights
 from .phase import mean_density
 from .source import ApertureGrid, LaserSource, build_aperture_grid
 
@@ -99,21 +99,15 @@ def required_aperture_resolution(
     return max(floor, int(math.ceil(2.0 * ls.r_a / delta)))
 
 
-def _ray_heights(geom: ScenarioGeometry, y_src, y_dst, z):
-    """Heights of source nodes at y_src and destinations at (y_dst, z).
+def window_aperture_resolution(scenario, half_x: float, half_y: float) -> int:
+    """Aperture cells per axis for a destination window at the panel plane.
 
-    Raises TerrainError if any of them is not above the ground.
+    numerics.aperture_resolution when configured, else the sampling rule
+    for the window's corner at hypot(half_x, half_y) off axis.
     """
-    cos_t = math.cos(geom.theta)
-    h_src = y_src * cos_t + geom.h0
-    h_axis = geom.h0 + (geom.hp - geom.h0) * (z / geom.D)
-    h_dst = y_dst * cos_t + h_axis
-    if np.min(h_src) <= 0.0 or np.min(h_dst) <= 0.0:
-        raise TerrainError(
-            "a source-to-destination ray touches the ground "
-            f"(lowest endpoint heights {np.min(h_src):.6g}, {np.min(h_dst):.6g} m)"
-        )
-    return h_src, h_dst
+    return scenario.numerics.aperture_resolution or required_aperture_resolution(
+        scenario.laser, scenario.geometry.D, math.hypot(half_x, half_y)
+    )
 
 
 def field_at_points(
@@ -149,7 +143,7 @@ def field_at_points(
 
     k = 2.0 * math.pi / wavelength
     if dust is not None:
-        h_src, h_dst = _ray_heights(geom, grid.y, y, z)
+        h_src, h_dst = ray_heights(geom, grid.y, y, z)
         hs, src_row = np.unique(h_src, return_inverse=True)
         hd, dst_row = np.unique(h_dst, return_inverse=True)
         nbar_table = mean_density(dust, hd[:, None], hs[None, :])
@@ -262,7 +256,7 @@ def field_on_grid(
         ) ** 2
         col = 0.0
         if dust is not None:
-            h_src, h_dst = _ray_heights(geom, cy, ys, z)
+            h_src, h_dst = ray_heights(geom, cy, ys, z)
             nbar = mean_density(dust, h_dst[:, None], h_src[None, :])
             c = complex(dust.C_ext, k * dust.polarizability_volume)
             col = abs(c) * float(np.max(nbar))
@@ -396,6 +390,12 @@ class IrradianceMap:
         for arr in (self.xs, self.ys, self.values):
             arr.setflags(write=False)
 
+    def __setstate__(self, state):
+        # Unpickling (a map from a sweep worker) bypasses __init__, and
+        # unpickled arrays come back writeable.
+        self.__dict__.update(state)
+        self.__post_init__()
+
 
 def _symmetric_axis(half_width: float, count: int) -> np.ndarray:
     # (i - (count-1)/2) * step mirrors exactly in floating point, which
@@ -440,9 +440,7 @@ def compute_irradiance_map(
     if nx < 32 or ny < 32:
         raise ValidationError(f"map resolution must be >= 32 per axis, got {resolution}")
 
-    ap_res = scenario.numerics.aperture_resolution or required_aperture_resolution(
-        scenario.laser, geom.D, math.hypot(ex, ey)
-    )
+    ap_res = window_aperture_resolution(scenario, ex, ey)
     xs = _symmetric_axis(ex, nx)
     ys = _symmetric_axis(ey, ny)
     e = field_on_grid(

@@ -3,19 +3,21 @@
 The optical axis runs from the center of the source aperture to the
 center of the receiving panel. Both planes are normal to that axis, so
 the transverse coordinates (x, y) live in a frame tilted by the angle
-theta between the axis and the horizontal. Height above ground is
-always recovered from tilted-frame coordinates via the linear relation
-implemented by :func:`endpoint_heights` (heights are linear along every
-ray, so a ray's endpoints bound it); coordinates are never rotated
-explicitly. The ground is flat: there is no body radius.
+theta between the axis and the horizontal. Coordinates are never
+rotated explicitly: every caller takes heights above ground, and the
+ground test, from :func:`ray_heights`. Heights are linear along every
+ray, so a ray's endpoints bound it. The ground is flat: there is no
+body radius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import DomainError, GeometryError
+import numpy as np
+
+from .errors import DomainError, GeometryError, TerrainError
 
 
 def tilt_angle(h0: float, hp: float, D: float) -> float:
@@ -62,7 +64,7 @@ class ScenarioGeometry:
     hp: float
     L: float = 0.5
     W: float = 0.5
-    theta: float = 0.0  # derived in __post_init__
+    theta: float = field(init=False)
 
     def __post_init__(self):
         if self.D <= 0:
@@ -101,15 +103,25 @@ class PathPoint:
         return cls(x, y, z)
 
 
-def endpoint_heights(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry) -> tuple[float, float]:
-    """Heights above ground of a ray's two endpoints [m].
+def ray_heights(geom: ScenarioGeometry, y_src, y_dst, z):
+    """Heights of source nodes at y_src and destinations at (y_dst, z) [m].
 
     The source plane center sits at height h0, the plane z = D at hp;
     the center height of intermediate planes interpolates linearly.
-    Within a plane, the y coordinate contributes y*cos(theta).
+    Within a plane, the y coordinate contributes y*cos(theta). Takes
+    scalars or arrays; raises TerrainError if any height is <= 0.
     """
     c = math.cos(geom.theta)
-    h_src = src.y * c + geom.h0
-    axis = geom.h0 + (geom.hp - geom.h0) * (dst.z / geom.D)
-    h_dst = dst.y * c + axis
+    h_src = y_src * c + geom.h0
+    h_dst = y_dst * c + (geom.h0 + (geom.hp - geom.h0) * (z / geom.D))
+    if np.min(h_src) <= 0.0 or np.min(h_dst) <= 0.0:
+        raise TerrainError(
+            "a source-to-destination ray touches the ground "
+            f"(lowest endpoint heights {np.min(h_src):.6g}, {np.min(h_dst):.6g} m)"
+        )
     return h_src, h_dst
+
+
+def endpoint_heights(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry) -> tuple[float, float]:
+    """Heights above ground of a ray's two endpoints [m]; see :func:`ray_heights`."""
+    return ray_heights(geom, src.y, dst.y, dst.z)

@@ -27,7 +27,7 @@ import numpy as np
 import scipy  # noqa: F401
 
 from .dust import DustModel, imag_index, particle_density
-from .errors import DomainError, NumericalError, TerrainError
+from .errors import DomainError, NumericalError
 from .geometry import PathPoint, ScenarioGeometry, endpoint_heights
 
 # Relative height difference below which the density along the ray is
@@ -130,12 +130,7 @@ def column_density(dm: DustModel, h1, h2, R):
 
 def _ray_inputs(src: PathPoint, dst: PathPoint, geom: ScenarioGeometry):
     R = math.dist((src.x, src.y, src.z), (dst.x, dst.y, dst.z))
-    h_src, h_dst = endpoint_heights(src, dst, geom)
-    if min(h_src, h_dst) <= 0.0:
-        raise TerrainError(
-            f"ray touches the ground: endpoint heights ({h_src:.6g}, {h_dst:.6g}) m"
-        )
-    return R, h_src, h_dst
+    return (R, *endpoint_heights(src, dst, geom))
 
 
 def cumulative_phase(

@@ -27,7 +27,7 @@ from .diffraction import (  # noqa: F401
     field_at_points,
     field_on_grid,
     irradiance_at_point,
-    required_aperture_resolution,
+    window_aperture_resolution,
 )
 from .errors import ConvergenceError, DegenerateMapError, ValidationError
 from .source import build_aperture_grid
@@ -160,30 +160,38 @@ def _line_peak(grid, scenario, half_y: float) -> float:
     return float(fine[j])
 
 
-def _refine(evaluate, order: int, rtol: float, atol: float = 0.0, what: str = "panel power"):
+def _refine(evaluate, order: int, rtol: float, atol: float = 0.0,
+            what: str = "panel power quadrature", step=lambda n: 2 * math.ceil(0.75 * n),
+            ceiling: int | None = None):
     """Raise the quadrature order until two successive values agree.
 
-    Evaluates at ``order``, then steps it 1.5x (rounded even) while it
-    stays within _ORDER_CEILING: Gauss-Legendre error falls steeply
-    enough with order that this is as sound a stabilization check as
-    doubling, at half the quadratic cost. Values a, b agree when
-    |a - b| <= max(rtol * max(|a|, |b|), atol); NaN never agrees.
-    Returns the refinement history [(order, value), ...]; its last
-    entry is the accepted value. Raises ConvergenceError with that
-    history once the next order would pass the ceiling.
+    Evaluates at ``order``, then steps it (by default 1.5x, rounded
+    even) while it stays within the ceiling (by default _ORDER_CEILING,
+    read at call time): Gauss-Legendre error falls steeply enough with
+    order that 1.5x is as sound a stabilization check as doubling, at
+    half the quadratic cost. Values
+    a, b agree when |a - b| <= max(rtol * max(|a|, |b|), atol); NaN
+    never agrees. Returns the refinement history [(order, value), ...],
+    whose last entry is the accepted value, and the relative change
+    |a - b| / max(|a|, |b|) (0 for a = b = 0) at that step. Raises
+    ConvergenceError with the history once the next order would pass
+    the ceiling. sweeps.converge runs its aperture-resolution doublings
+    through the same loop, with its own step and ceiling.
     """
+    if ceiling is None:
+        ceiling = _ORDER_CEILING
     history = []
-    while order <= _ORDER_CEILING:
+    while order <= ceiling:
         value = evaluate(order)
         history.append((order, value))
         if len(history) > 1:
             prev = history[-2][1]
-            if abs(value - prev) <= max(rtol * max(abs(value), abs(prev)), atol):
-                return history
-        order = 2 * math.ceil(0.75 * order)
+            change, scale = abs(value - prev), max(abs(value), abs(prev))
+            if change <= max(rtol * scale, atol):
+                return history, change / scale if scale > 0.0 else 0.0
+        order = step(order)
     raise ConvergenceError(
-        f"{what} quadrature did not stabilize to {rtol:g} by order {_ORDER_CEILING}; "
-        f"last iterates {history[-2:]}",
+        f"{what} did not stabilize to {rtol:g} by {ceiling}; last iterates {history[-2:]}",
         history=history,
     )
 
@@ -211,26 +219,19 @@ def panel_power(scenario, with_shift: bool = True) -> PanelResult:
     half_l, half_w = geom.L / 2.0, geom.W / 2.0
     win_x, win_y = SHIFT_WINDOW_FACTOR * half_l, SHIFT_WINDOW_FACTOR * half_w
 
-    configured = scenario.numerics.aperture_resolution
-    power_res = configured or required_aperture_resolution(
-        laser, geom.D, math.hypot(half_l, half_w)
-    )
+    power_res = window_aperture_resolution(scenario, half_l, half_w)
     power_grid = build_aperture_grid(laser, power_res)
 
-    history = _refine(
+    history, rel = _refine(
         lambda order: _window_integrals(power_grid, scenario, half_l, half_w, order)[0],
         _ORDER_START,
         rtol,
     )
-    (_, power_prev), (order, power) = history[-2:]
-    scale = max(abs(power), abs(power_prev))
-    rel = abs(power - power_prev) / scale if scale > 0.0 else 0.0
+    order, power = history[-1]
 
     shift = peak = 0.0
     if scenario.dust_enabled and with_shift:
-        win_res = configured or required_aperture_resolution(
-            laser, geom.D, math.hypot(win_x, win_y)
-        )
+        win_res = window_aperture_resolution(scenario, win_x, win_y)
         win_grid = (
             power_grid if win_res == power_res else build_aperture_grid(laser, win_res)
         )
@@ -239,7 +240,7 @@ def panel_power(scenario, with_shift: bool = True) -> PanelResult:
             wtot, wmom = _window_integrals(win_grid, scenario, win_x, win_y, order)
             return wmom / wtot if wtot > 0.0 else float("nan")
 
-        shift = _refine(centroid, order, rtol, _SHIFT_ATOL, "beam-shift")[-1][1]
+        shift = _refine(centroid, order, rtol, _SHIFT_ATOL, "beam-shift quadrature")[0][-1][1]
         peak = _line_peak(win_grid, scenario, win_y)
 
     return PanelResult(

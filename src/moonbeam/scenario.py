@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from .dust import DustModel
-from .errors import ConfigError, ValidationError
-from .geometry import ScenarioGeometry
+from .errors import ConfigError, TerrainError, ValidationError
+from .geometry import ScenarioGeometry, ray_heights
 from .source import LaserSource
 
 #: Largest supported center-to-center distance [m].
@@ -268,20 +267,20 @@ def scenario_from_mapping(overrides: dict) -> Scenario:
     # Terrain clearance: ray heights are linear, so it suffices that the
     # lowest point of each endpoint plane sits above ground.
     h0, hp = cfg["geometry.h0"], cfg["geometry.hp"]
-    if D > 0 and hp > 0 and h0 > 0:
-        cos_t = math.cos(math.atan2(hp - h0, D))
-        if hp - 0.5 * cfg["geometry.W"] * cos_t <= 0.0:
-            raise ValidationError(
-                f"panel below minimum height: hp={hp} m leaves the panel's lower "
-                f"edge at or under the ground"
-            )
-        if h0 - cfg["laser.r_a"] * cos_t <= 0.0:
-            raise ValidationError(
-                f"source below minimum height: h0={h0} m leaves the aperture's "
-                f"lower edge at or under the ground"
-            )
-    elif hp <= 0:
+    if hp <= 0:
         raise ValidationError(f"panel below minimum height: hp={hp} m")
+    if D > 0 and h0 > 0:
+        geom = ScenarioGeometry(D=D, h0=h0, hp=hp)
+        for y_src, y_dst, what in (
+            (0.0, -0.5 * cfg["geometry.W"], f"panel below minimum height: hp={hp} m leaves "
+             "the panel's lower edge"),
+            (-cfg["laser.r_a"], 0.0, f"source below minimum height: h0={h0} m leaves the "
+             "aperture's lower edge"),
+        ):
+            try:
+                ray_heights(geom, y_src, y_dst, D)
+            except TerrainError as exc:
+                raise ValidationError(f"{what} at or under the ground") from exc
 
     source_mode = cfg["dust.cext_source"]
     if cfg["dust.enabled"] and source_mode is None:

@@ -55,7 +55,7 @@ class LaserSource:
     r_a: float
     wavelength: float
     eta: float = 377.0
-    zeta: float = field(default=0.0)  # derived in __post_init__
+    zeta: float = field(init=False)
 
     def __post_init__(self):
         if self.P0 <= 0:

@@ -1,14 +1,18 @@
 """Parameter-sweep drivers with convergence control and parallelism.
 
 Each sweep kind varies one or two scenario parameters over a default
-grid (overridable), evaluates the panel power at every grid point, and
-returns rows keyed by the grid values. Cells are independent jobs:
-a worker pool may execute them in any order, but rows are assembled by
-grid index and every cell computes identical values in any process, so
-the serialized output is byte-identical for any worker count.
+grid (overridable) and evaluates every grid point through one cell
+evaluator, into rows keyed by the grid values (and, for
+irradiance_maps, one map per cell). Cells are independent jobs: with
+numerics.workers > 1 a pool may execute them in any order, but results
+are assembled by grid index and every cell computes identical values
+in any process, so the serialized output is byte-identical for any
+worker count.
 
 A failing cell records its error in its row without aborting the rest
-of the sweep; only a sweep whose every cell failed raises.
+of the sweep; only a sweep whose every cell failed raises. converge
+doubles the aperture resolution through the panel quadrature's
+refinement loop.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._version import __version__
-from .diffraction import compute_irradiance_map, required_aperture_resolution
+from .diffraction import compute_irradiance_map, window_aperture_resolution
 from .dust import mie_extinction_cross_section
-from .errors import BeamError, ConvergenceError, NumericalError, ValidationError
-from .geometry import PathPoint, ScenarioGeometry
-from .phase import cumulative_phase
-from .receiver import RESULT_COLUMNS, beam_shift, panel_power, result_row
+from .errors import BeamError, NumericalError, ValidationError
+from .geometry import ray_heights
+from .phase import column_density
+from .receiver import RESULT_COLUMNS, _refine, beam_shift, panel_power, result_row
 from .scenario import CEXT_SOURCE_HELP, MAX_DISTANCE, Scenario, resolve_cext
 
 SWEEP_KINDS = (
@@ -37,6 +41,13 @@ SWEEP_KINDS = (
     "irradiance_maps",
     "distance_comparison",
 )
+
+#: CSV columns of the kinds whose rows are not RESULT_COLUMNS.
+_COLUMNS = {
+    "distance_comparison": ("D", "power_center_W", "power_free_W", "power_dust_W",
+                            "efficiency_center", "efficiency_free", "efficiency_dust", "error"),
+    "irradiance_maps": ("D", "max_irradiance_W_m2", "shift_y_m", "error"),
+}
 
 #: Sweep kinds whose physics is meaningless without a dust
 #: cross-section source; they refuse to default silently.
@@ -71,10 +82,6 @@ class SweepSpec:
     axes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
-            raise ValidationError(
-                f"unknown sweep kind {self.kind!r}; use one of {', '.join(SWEEP_KINDS)}"
-            )
         resolved = dict(default_axes(self.kind))
         for name, values in self.axes.items():
             if name not in resolved:
@@ -117,18 +124,13 @@ class SweepResult:
 def center_to_center_power(scenario: Scenario) -> float:
     """Single-ray received power between the two centers [W].
 
-    Pure extinction along the center ray, P0 * exp(-2 * Im(Phi)):
+    Pure extinction along the center ray, P0 * exp(-2 * C_ext * column):
     no diffraction, the no-spreading baseline of distance comparisons.
     """
-    geom = scenario.geometry
-    phi = cumulative_phase(
-        PathPoint.source(0.0, 0.0),
-        PathPoint.destination(0.0, 0.0, geom.D),
-        geom,
-        scenario.active_dust(),
-        scenario.laser.wavelength,
-    )
-    return scenario.laser.P0 * math.exp(-2.0 * phi.im)
+    geom, dust = scenario.geometry, scenario.active_dust()
+    h_src, h_dst = ray_heights(geom, 0.0, 0.0, geom.D)
+    im = 0.0 if dust is None else dust.C_ext * column_density(dust, h_src, h_dst, geom.D)
+    return scenario.laser.P0 * math.exp(-2.0 * im)
 
 
 @dataclass(frozen=True)
@@ -144,17 +146,17 @@ class ConvergedNumerics:
 def converge(scenario: Scenario, target_rel: float) -> ConvergedNumerics:
     """Refine the aperture resolution until panel power stabilizes.
 
-    Starts from the sampling rule, doubles the resolution until the
-    power changes by less than target_rel between refinements, and
-    returns the finer resolution of the final pair (re-running with it
-    reproduces the power bit-identically).
+    Starts from the configured resolution or the sampling rule, doubles
+    it (at most numerics.max_refinements times) until the power changes
+    by no more than target_rel between refinements, and returns the
+    finer resolution of the final pair (re-running with it reproduces
+    the power bit-identically). The doublings run through the panel
+    quadrature's refinement loop, receiver._refine.
     """
     if not 0.0 < target_rel <= 0.05:
         raise ValidationError(f"target_rel must lie in (0, 0.05], got {target_rel}")
     geom = scenario.geometry
-    res = scenario.numerics.aperture_resolution or required_aperture_resolution(
-        scenario.laser, geom.D, math.hypot(geom.L / 2.0, geom.W / 2.0)
-    )
+    start = window_aperture_resolution(scenario, geom.L / 2.0, geom.W / 2.0)
 
     def power_at(resolution: int) -> float:
         trial = scenario.with_updates(
@@ -162,29 +164,12 @@ def converge(scenario: Scenario, target_rel: float) -> ConvergedNumerics:
         )
         return panel_power(trial, with_shift=False).power
 
-    history = [(res, power_at(res))]
-    for _ in range(scenario.numerics.max_refinements):
-        res *= 2
-        history.append((res, power_at(res)))
-        prev, cur = history[-2][1], history[-1][1]
-        scale = max(abs(prev), abs(cur))
-        rel = abs(cur - prev) / scale if scale > 0.0 else 0.0
-        if rel < target_rel:
-            return ConvergedNumerics(
-                aperture_resolution=res, power=cur, final_rel=rel, history=history
-            )
-    raise ConvergenceError(
-        f"aperture refinement hit the ceiling after "
-        f"{scenario.numerics.max_refinements} doublings without reaching "
-        f"{target_rel:g}",
-        history=history,
+    history, rel = _refine(
+        power_at, start, target_rel, what="aperture refinement", step=lambda res: 2 * res,
+        ceiling=start * 2**scenario.numerics.max_refinements,
     )
-
-
-def _axis_skeleton(values: dict) -> dict:
-    row = dict(values)
-    row["error"] = None
-    return row
+    res, power = history[-1]
+    return ConvergedNumerics(aperture_resolution=res, power=power, final_rel=rel, history=history)
 
 
 def _cell_scenario(spec: SweepSpec, values: dict) -> Scenario:
@@ -219,20 +204,19 @@ def _cell_scenario(spec: SweepSpec, values: dict) -> Scenario:
 
 
 def _evaluate_cell(payload):
-    """Worker body: one sweep cell to one row dict."""
-    kind, values, scenario, build_error = payload
-    row = _axis_skeleton(values)
-    if build_error is not None:
-        row["error"] = build_error
-        return row
+    """Worker body: one sweep cell to its row dict and its map (None
+    unless the kind is irradiance_maps)."""
+    spec, values = payload
+    row = dict(values, error=None)
+    imap = None
     try:
-        if kind == "distance_comparison":
-            dusty = scenario
+        scenario = _cell_scenario(spec, values)
+        if spec.kind == "distance_comparison":
             free = scenario.with_updates(dust_enabled=False)
             p0 = scenario.laser.P0
-            p_center = center_to_center_power(dusty)
+            p_center = center_to_center_power(scenario)
             p_free = panel_power(free, with_shift=False).power
-            p_dust = panel_power(dusty, with_shift=False).power
+            p_dust = panel_power(scenario, with_shift=False).power
             row.update(
                 power_center_W=p_center,
                 power_free_W=p_free,
@@ -241,29 +225,16 @@ def _evaluate_cell(payload):
                 efficiency_free=p_free / p0,
                 efficiency_dust=p_dust / p0,
             )
+        elif spec.kind == "irradiance_maps":
+            imap = compute_irradiance_map(scenario)
+            row["max_irradiance_W_m2"] = float(imap.values.max())
+            row["shift_y_m"] = beam_shift(imap)
         else:
             result = panel_power(scenario)
             row.update(result_row(scenario, result))
     except BeamError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _sweep_columns(kind: str) -> tuple:
-    if kind == "distance_comparison":
-        return (
-            "D",
-            "power_center_W",
-            "power_free_W",
-            "power_dust_W",
-            "efficiency_center",
-            "efficiency_free",
-            "efficiency_dust",
-            "error",
-        )
-    if kind == "irradiance_maps":
-        return ("D", "max_irradiance_W_m2", "shift_y_m", "error")
-    return RESULT_COLUMNS + ("error",)
+    return row, imap
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
@@ -280,36 +251,17 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
 
     axis_names = list(spec.axes)
     grids = [spec.axes[name] for name in axis_names]
-    cells = []
-    for idx in np.ndindex(*(len(g) for g in grids)):
-        values = {name: float(grids[i][idx[i]]) for i, name in enumerate(axis_names)}
-        try:
-            scen = _cell_scenario(spec, values)
-            cells.append((spec.kind, values, scen, None))
-        except BeamError as exc:
-            cells.append((spec.kind, values, None, f"{type(exc).__name__}: {exc}"))
-
-    maps = []
-    if spec.kind == "irradiance_maps":
-        rows = []
-        for _, values, scen, err in cells:
-            row = _axis_skeleton(values)
-            if err is None:
-                try:
-                    imap = compute_irradiance_map(scen)
-                    maps.append(imap)
-                    row["max_irradiance_W_m2"] = float(imap.values.max())
-                    row["shift_y_m"] = beam_shift(imap)
-                except BeamError as exc:
-                    row["error"] = f"{type(exc).__name__}: {exc}"
-            else:
-                row["error"] = err
-            rows.append(row)
-    elif n_workers > 1 and len(cells) > 1:
+    cells = [
+        (spec, {name: float(grids[i][idx[i]]) for i, name in enumerate(axis_names)})
+        for idx in np.ndindex(*(len(g) for g in grids))
+    ]
+    if n_workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_evaluate_cell, cells))
+            evaluated = list(pool.map(_evaluate_cell, cells))
     else:
-        rows = [_evaluate_cell(cell) for cell in cells]
+        evaluated = [_evaluate_cell(cell) for cell in cells]
+    rows = [row for row, _ in evaluated]
+    maps = [imap for _, imap in evaluated if imap is not None]
 
     failures = [row for row in rows if row.get("error")]
     if rows and len(failures) == len(rows):
@@ -328,7 +280,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     }
     return SweepResult(
         kind=spec.kind,
-        columns=_sweep_columns(spec.kind),
+        columns=_COLUMNS.get(spec.kind, RESULT_COLUMNS + ("error",)),
         rows=rows,
         maps=maps,
         provenance=provenance,

@@ -69,6 +69,27 @@ def test_set_requires_key_value(capsys):
     assert "KEY=VALUE" in err
 
 
+def test_set_on_a_string_key_takes_the_raw_text(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(
+        capsys, "map", "--distance", "50000", "--resolution", "32",
+        "--aperture-resolution", "64", "--set", "outputs.directory=2024",
+    )
+    assert code == 0
+    assert (tmp_path / "2024" / "map_D50000.csv").is_file()
+    assert out.splitlines()[0] == "2024/map_D50000.csv"
+    # JSON strings and null still parse as JSON.
+    code, out, _ = run(capsys, "map", "--distance", "50000", "--resolution", "32",
+                       "--aperture-resolution", "64", "--set", 'outputs.directory="quoted"')
+    assert code == 0 and out.splitlines()[0] == "quoted/map_D50000.csv"
+    code, _, _ = run(capsys, "simulate", "--distance", "50000", "--set", "outputs.directory=null")
+    assert code == 0
+    # A non-string JSON value on a choice key reaches the choices check.
+    code, _, err = run(capsys, "simulate", "--set", "dust.cext_source=true")
+    assert code == 1
+    assert "dust.cext_source must be one of mie, calibrated, explicit; got 'true'" in err
+
+
 def test_config_file_is_used(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"geometry.D": 25000}))

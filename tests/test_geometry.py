@@ -1,6 +1,7 @@
 """Tests for the tilted-frame link geometry."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +32,13 @@ def test_geometry_derives_theta():
     geom = ScenarioGeometry(D=1000.0, h0=2.0, hp=12.0)
     assert geom.theta == pytest.approx(math.atan2(10.0, 1000.0), rel=1e-15)
     assert geom.L == 0.5 and geom.W == 0.5
+
+
+def test_geometry_refuses_a_supplied_theta():
+    with pytest.raises(TypeError, match="theta"):
+        ScenarioGeometry(D=1000.0, h0=2.0, hp=12.0, theta=0.5)
+    level = replace(ScenarioGeometry(D=1000.0, h0=2.0, hp=12.0), hp=2.0)
+    assert level.theta == 0.0
 
 
 @pytest.mark.parametrize(

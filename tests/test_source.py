@@ -1,6 +1,7 @@
 """Tests for the truncated-Gaussian aperture and its discretization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,13 @@ def test_truncation_normalization_value():
     ls = default_source()
     assert ls.zeta == pytest.approx(ZETA_RA_EQ_W0, rel=1e-11)
     assert ls.zeta == pytest.approx(1.0 / math.sqrt(1.0 - math.exp(-2.0)), rel=1e-15)
+
+
+def test_source_refuses_a_supplied_zeta():
+    with pytest.raises(TypeError, match="zeta"):
+        default_source(zeta=1.0)
+    wide = replace(default_source(), r_a=0.25)
+    assert wide.zeta == default_source(r_a=0.25).zeta
 
 
 def test_truncation_normalization_wide_aperture_limit():

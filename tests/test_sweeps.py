@@ -237,3 +237,21 @@ def test_sweep_kinds_tuple_is_stable():
         "irradiance_maps",
         "distance_comparison",
     )
+
+
+def test_irradiance_maps_from_two_workers_equal_one_and_are_read_only():
+    spec = SweepSpec(
+        kind="irradiance_maps",
+        base=dusty_base(),
+        axes={"D": [20000.0, 50000.0]},
+    )
+    serial = run_sweep(spec, workers=1)
+    parallel = run_sweep(spec, workers=2)
+    assert parallel.rows == serial.rows
+    assert [m.distance for m in parallel.maps] == [20000.0, 50000.0]
+    for got, want in zip(parallel.maps, serial.maps):
+        for name in ("xs", "ys", "values"):
+            arr = getattr(got, name)
+            assert np.array_equal(arr, getattr(want, name))
+            assert not arr.flags.writeable
+        assert got.meta == want.meta and got.extent == want.extent
