@@ -203,6 +203,15 @@ def mie_extinction_cross_section(d_p: float, wavelength: float, m_p, n_terms: in
 def calibrate_cext(scenario, reference_power: float) -> float:
     """Fit C_ext so the scenario's received power equals a reference.
 
+    Illinois regula falsi (Dowell & Jarratt 1971) on ln(P / reference),
+    from 0 and the Rayleigh probe: it extends the secant until the root
+    is bracketed and bisects past a probe whose P underflows to 0. It
+    stops once a step moves C_ext by at most 2.5e-4 relative, or the
+    bracket narrows to 1e-3. Every probe uses panel_power's aperture
+    grid, built once, and the quadrature order chosen adaptively at the
+    Rayleigh probe. The root is then probed once on the adaptive
+    schedule, and the search resumes from it at that probe's order.
+
     Parameters
     ----------
     scenario : Scenario
@@ -216,12 +225,11 @@ def calibrate_cext(scenario, reference_power: float) -> float:
     -------
     float
         The cross-section [m^2] at which the simulated panel power
-        equals the reference, found by bisection to within 5e-4
-        relative (received power decreases monotonically in C_ext, so
-        the root is unique). Power falls about as P(0)*exp(-c*C_ext),
-        so it misses the reference by up to about
-        5e-4 * |ln(reference / P(0))| relative: 0.18% at 50 km for a
-        3 W reference. A reference within 0.1% of P(0) returns 0.
+        equals the reference, to within 5e-4 relative; the root is
+        unique, as power falls monotonically in C_ext. The power then
+        misses the reference by up to about 5e-4 * |ln(reference / P(0))|
+        relative: 0.18% at 50 km for a 3 W reference. A reference within
+        0.1% of P(0) returns 0.
 
     Raises
     ------
@@ -229,47 +237,56 @@ def calibrate_cext(scenario, reference_power: float) -> float:
         If the reference exceeds the power at C_ext = 0 or the search
         bracket cannot be expanded to straddle it.
     """
-    from .receiver import panel_power  # deferred to avoid an import cycle
+    from .receiver import _panel_grid, _panel_power  # deferred: import cycle
 
     p0 = scenario.laser.P0
     if not 0.0 < reference_power < p0:
         raise DomainError(
             f"reference power must lie in (0, P0={p0}), got {reference_power}"
         )
+    grid = _panel_grid(scenario)
 
-    def power_at(c: float) -> float:
+    def probe(c: float, order: int | None = None):
+        """(order, ln(P / reference)) at C_ext = c; -inf where P underflows."""
         trial = scenario.with_updates(dust_enabled=True, dust=replace(scenario.dust, C_ext=c))
-        return panel_power(trial, with_shift=False).power
+        order, p = _panel_power(trial, grid, order)[0][-1]
+        return order, (math.log(p / reference_power) if p > 0.0 else -math.inf)
 
     rel_tol = 1e-3
-    p_zero = power_at(0.0)
-    if abs(p_zero - reference_power) <= rel_tol * reference_power:
+    f_zero = probe(0.0)[1]
+    if abs(math.expm1(f_zero)) <= rel_tol:
         return 0.0
-    if p_zero < reference_power:
+    if f_zero < 0.0:
         raise CalibrationError(
             f"reference power {reference_power} W exceeds the extinction-free "
-            f"power {p_zero:.6g} W; no C_ext >= 0 can reach it",
+            f"power {reference_power * math.exp(f_zero):.6g} W; no C_ext >= 0 can reach it",
             bracket=(0.0, 0.0),
         )
 
-    lo = 0.0
-    hi = rayleigh_cross_section(scenario.dust.d_p, scenario.laser.wavelength, scenario.dust.m_p)
-    for _ in range(60):
-        if power_at(hi) < reference_power:
-            break
-        lo = hi
-        hi *= 10.0
-    else:
+    def solve(c, probed):
+        # f(lo) > 0 >= f(hi), with hi = inf until found; x is the previous probe.
+        (order, f_c), lo, f_lo, hi, f_hi = probed, 0.0, f_zero, math.inf, None
+        x, f_x = lo, f_lo
+        for _ in range(100):
+            if f_c > 0.0:
+                lo, f_lo = c, f_c
+            else:
+                hi, f_hi = c, f_c
+            if f_hi is not None and (f_c > 0.0) == (f_x > 0.0):  # same end twice: Illinois
+                f_hi, f_lo = (f_hi / 2.0, f_lo) if f_c > 0.0 else (f_hi, f_lo / 2.0)
+            if f_hi is None:
+                new = c + (c - x) * f_c / (f_x - f_c) if f_x > f_c else 10.0 * c
+            else:
+                new = 0.5 * (lo + hi) if math.isinf(f_hi) else lo + f_lo * (hi - lo) / (f_lo - f_hi)
+            if abs(new - c) <= 2.5e-4 * new or hi - lo <= rel_tol * 0.5 * (hi + lo) < math.inf:
+                return new
+            x, f_x, c = c, f_c, new
+            f_c = probe(c, order)[1]
         raise CalibrationError(
-            f"could not bracket reference power {reference_power} W; "
-            f"power still above target at C_ext={hi:.6g}",
+            f"could not fit reference power {reference_power} W; last bracket {lo:.6g}, {hi:.6g}",
             bracket=(lo, hi),
         )
 
-    while (hi - lo) > rel_tol * (hi + lo) / 2.0:
-        mid = 0.5 * (lo + hi)
-        if power_at(mid) > reference_power:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    c_r = rayleigh_cross_section(scenario.dust.d_p, scenario.laser.wavelength, scenario.dust.m_p)
+    root = solve(c_r, probe(c_r))
+    return solve(root, probe(root))  # the re-check, on the adaptive schedule

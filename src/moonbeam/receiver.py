@@ -196,6 +196,27 @@ def _refine(evaluate, order: int, rtol: float, atol: float = 0.0,
     )
 
 
+def _panel_grid(scenario):
+    """The aperture grid that the panel power is summed over."""
+    geom = scenario.geometry
+    res = window_aperture_resolution(scenario, geom.L / 2.0, geom.W / 2.0)
+    return build_aperture_grid(scenario.laser, res)
+
+
+def _panel_power(scenario, grid, order: int | None = None):
+    """Panel power on a grid as (_refine history, change), for panel_power
+    and calibrate_cext: refined from _ORDER_START to numerics.target_rel,
+    or evaluated once at a held order."""
+    half_l, half_w = scenario.geometry.L / 2.0, scenario.geometry.W / 2.0
+
+    def power(n: int) -> float:
+        return _window_integrals(grid, scenario, half_l, half_w, n)[0]
+
+    if order is not None:
+        return [(order, power(order))], 0.0
+    return _refine(power, _ORDER_START, scenario.numerics.target_rel)
+
+
 def panel_power(scenario, with_shift: bool = True) -> PanelResult:
     """Received power and shift metrics for one scenario.
 
@@ -209,31 +230,22 @@ def panel_power(scenario, with_shift: bool = True) -> PanelResult:
     the wider shift window, whose corners sit at different transverse
     offsets).
 
-    with_shift False skips the shift metrics (power-only callers such
-    as calibration). The dust-free shift is identically zero by
-    symmetry and never computed.
+    with_shift False skips the shift metrics (0 in the result); the
+    dust-free shift is identically zero by symmetry and never computed.
     """
     geom = scenario.geometry
     laser = scenario.laser
     rtol = scenario.numerics.target_rel
-    half_l, half_w = geom.L / 2.0, geom.W / 2.0
-    win_x, win_y = SHIFT_WINDOW_FACTOR * half_l, SHIFT_WINDOW_FACTOR * half_w
-
-    power_res = window_aperture_resolution(scenario, half_l, half_w)
-    power_grid = build_aperture_grid(laser, power_res)
-
-    history, rel = _refine(
-        lambda order: _window_integrals(power_grid, scenario, half_l, half_w, order)[0],
-        _ORDER_START,
-        rtol,
-    )
+    win_x, win_y = SHIFT_WINDOW_FACTOR * geom.L / 2.0, SHIFT_WINDOW_FACTOR * geom.W / 2.0
+    power_grid = _panel_grid(scenario)
+    history, rel = _panel_power(scenario, power_grid)
     order, power = history[-1]
 
     shift = peak = 0.0
     if scenario.dust_enabled and with_shift:
         win_res = window_aperture_resolution(scenario, win_x, win_y)
         win_grid = (
-            power_grid if win_res == power_res else build_aperture_grid(laser, win_res)
+            power_grid if win_res == power_grid.resolution else build_aperture_grid(laser, win_res)
         )
 
         def centroid(order: int) -> float:

@@ -2,10 +2,12 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from moonbeam import diffraction, receiver, source
 from moonbeam.dust import (
     DustModel,
     calibrate_cext,
@@ -221,3 +223,82 @@ def test_calibrate_cext_unreachable_reference():
     scenario = cheap_dusty_scenario()
     with pytest.raises(CalibrationError, match="extinction-free"):
         calibrate_cext(scenario, 995.0)
+
+
+def bisected_cext(scenario, reference, rel=1e-6):
+    """C_ext where adaptive panel_power crosses the reference, by bisection."""
+
+    def power(c):
+        trial = scenario.with_updates(dust=replace(scenario.dust, C_ext=c))
+        return panel_power(trial, with_shift=False).power
+
+    lo, hi = 0.0, 1e-16
+    while power(hi) > reference:
+        lo, hi = hi, 10.0 * hi
+    while hi - lo > rel * 0.5 * (hi + lo):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if power(mid) > reference else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("reference", [800.0, 1.0, 1e-60, 1e-250])
+def test_calibrate_cext_matches_a_fine_bisection(reference):
+    # README states C_ext to 5e-4 relative. At 1e-250 W the power
+    # underflows to 0 about 30% above the root.
+    scenario = cheap_dusty_scenario()
+    fitted = calibrate_cext(scenario, reference)
+    assert fitted == pytest.approx(bisected_cext(scenario, reference), rel=5e-4)
+
+
+@pytest.mark.parametrize("reference", [1e-200, 500.0])
+def test_calibrate_cext_bisects_past_a_probe_whose_power_underflows(monkeypatch, reference):
+    # A forward model with ln P = ln P0 - (C_ext / c_s)^2: the secant from
+    # C_ext = 0 and the Rayleigh probe overshoots to where P is exactly 0.
+    # Plain regula falsi then stalls on the far end of the bracket (98
+    # probes at 500 W); the Illinois halving keeps it under 30.
+    powers = []
+
+    def gaussian_power(scenario, grid, order=None):
+        powers.append(1000.0 * math.exp(-((scenario.dust.C_ext / 1e-13) ** 2)))
+        return [(order or 36, powers[-1])], 0.0
+
+    monkeypatch.setattr(receiver, "_panel_power", gaussian_power)
+    fitted = calibrate_cext(cheap_dusty_scenario(), reference)
+    assert 0.0 in powers and len(powers) < 30
+    assert fitted == pytest.approx(1e-13 * math.sqrt(math.log(1000.0 / reference)), rel=5e-4)
+
+
+def _counting(calls, fn, *args, **kwargs):
+    calls.append(args)
+    return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "d_p, h0, reference, pinned",
+    [
+        # The benchmark's anchors, pinned at the values the earlier
+        # bisection returned; both are within its 5e-4 bracket of the root.
+        (175e-9, 12.0, 910.0, 5.257065813393193e-14),
+        (250e-9, 2.0, 190.0, 2.6963156078053473e-13),
+    ],
+)
+def test_calibration_builds_one_grid_and_probes_few_cross_sections(
+    monkeypatch, d_p, h0, reference, pinned
+):
+    grids, fields = [], []
+    build = partial(_counting, grids, source.build_aperture_grid)
+    for mod in (source, receiver, diffraction):
+        monkeypatch.setattr(mod, "build_aperture_grid", build)
+    monkeypatch.setattr(receiver, "field_on_grid", partial(_counting, fields, receiver.field_on_grid))
+    anchor = scenario_from_mapping({
+        "geometry.D": 5000.0,
+        "geometry.h0": h0,
+        "dust.enabled": True,
+        "dust.d_p": d_p,
+        "dust.cext_source": "explicit",
+        "dust.cext": pinned,
+    })
+    fitted = calibrate_cext(anchor, reference)
+    assert len(grids) == 1
+    assert len({args[2].C_ext for args in fields}) <= 6
+    assert fitted == pytest.approx(pinned, rel=5e-4)

@@ -4,11 +4,14 @@ Each property is drawn over links of 10 to 50 km, with the aperture
 fixed at 64 cells per axis so that every example stays cheap.
 """
 
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moonbeam.diffraction import compute_irradiance_map
+from moonbeam.dust import calibrate_cext
 from moonbeam.receiver import panel_power
 from moonbeam.scenario import scenario_from_mapping
 
@@ -66,3 +69,21 @@ def test_maps_are_mirror_symmetric_in_x(D, h0, steps):
     imap = compute_irradiance_map(scenario(D, h0, 2.0, c_ext), resolution=33)
     scale = float(imap.values.max())
     assert np.max(np.abs(imap.values - imap.values[:, ::-1])) <= 1e-9 * scale
+
+
+#: Reference powers as fractions of the extinction-free power, inside the
+#: range where calibration solves rather than returning 0.
+fractions = st.floats(1e-3, 0.999, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(distances, fractions, fractions)
+def test_fitted_cext_falls_as_the_reference_rises(D, a, b):
+    # A 1% gap in power moves C_ext by at least 1.4e-3 relative, well
+    # beyond calibration's 5e-4.
+    assume(max(a, b) >= 1.01 * min(a, b))
+    s = scenario(D, c_ext=CEXT_STEP)
+    clear = s.with_updates(dust=replace(s.dust, C_ext=0.0))
+    p_zero = panel_power(clear, with_shift=False).power
+    low, high = sorted((a, b))
+    assert calibrate_cext(s, low * p_zero) > calibrate_cext(s, high * p_zero)
