@@ -29,6 +29,10 @@ Two evaluations of that sum:
 
 Both are deterministic: the reduction order depends only on the array
 shapes, never on the worker or BLAS thread count.
+
+All irradiance on the panel plane (panel power, shift window, line peak
+and maps) comes from :func:`irradiance_on_grid`. SHIFT_WINDOW_FACTOR
+sizes both the shift window and the default map.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ from .source import ApertureGrid, LaserSource, build_aperture_grid
 #: Sampling-rule floor [cells/axis]: keeps the smooth Gaussian envelope
 #: well resolved even where the oscillation bound alone is loose.
 MIN_APERTURE_RESOLUTION = 64
+
+#: Beam-shift analysis window and default map extent, in panel half-extents.
+SHIFT_WINDOW_FACTOR = 3.0
 
 #: Pairwise-product budget per vectorized block. 2e6 doubles keep each
 #: temporary array at 16 MB, small enough that the allocator recycles
@@ -79,12 +86,7 @@ _ROUNDING_RTOL = 1e-9
 _log = logging.getLogger("moonbeam")
 
 
-def required_aperture_resolution(
-    ls: LaserSource,
-    z_min: float,
-    rho_max: float,
-    floor: int = MIN_APERTURE_RESOLUTION,
-) -> int:
+def required_aperture_resolution(ls: LaserSource, z_min: float, rho_max: float) -> int:
     """Cells per axis needed by the oscillation-aware sampling rule.
 
     The integrand's transverse phase gradient is bounded by
@@ -96,7 +98,7 @@ def required_aperture_resolution(
         raise ValidationError(f"destination plane distance must be positive, got {z_min}")
     k = 2.0 * math.pi / ls.wavelength
     delta = (math.pi / 4.0) * z_min / (k * (ls.r_a + max(rho_max, 0.0)))
-    return max(floor, int(math.ceil(2.0 * ls.r_a / delta)))
+    return max(MIN_APERTURE_RESOLUTION, int(math.ceil(2.0 * ls.r_a / delta)))
 
 
 def window_aperture_resolution(scenario, half_x: float, half_y: float) -> int:
@@ -347,6 +349,17 @@ def irradiance_at_point(field_value, eta: float):
     return val
 
 
+def irradiance_on_grid(scenario, grid: ApertureGrid, xs, ys) -> np.ndarray:
+    """Irradiance on the tensor grid xs x ys at the panel plane [W/m^2].
+
+    :func:`field_on_grid` at z = D, with the scenario's active dust and
+    laser wavelength; element [i, j] is at (xs[i], ys[j]).
+    """
+    geom = scenario.geometry
+    e = field_on_grid(grid, geom, scenario.active_dust(), scenario.laser.wavelength, xs, ys, geom.D)
+    return irradiance_at_point(e, scenario.laser.eta)
+
+
 def free_space_gaussian_irradiance(ls: LaserSource, x, y, z):
     """Analytic untruncated-Gaussian irradiance at (x, y, z) [W/m^2].
 
@@ -406,8 +419,8 @@ def _symmetric_axis(half_width: float, count: int) -> np.ndarray:
 
 def compute_irradiance_map(
     scenario,
-    extent=None,
-    resolution: int | tuple[int, int] = 129,
+    extent: float | None = None,
+    resolution: int = 129,
 ) -> IrradianceMap:
     """Irradiance over a uniform grid on the panel plane.
 
@@ -416,43 +429,32 @@ def compute_irradiance_map(
     scenario : Scenario
         Validated scenario; dust applies when enabled (with its stored
         cross-section).
-    extent : float or (float, float), optional
-        Half-widths of the sampled rectangle [m]; defaults to three
-        panel half-extents, the beam-shift analysis window.
-    resolution : int or (int, int)
+    extent : float, optional
+        Half-width of the sampled square [m]; by default the beam-shift
+        analysis window, SHIFT_WINDOW_FACTOR panel half-extents per axis.
+    resolution : int
         Grid points per axis, at least 32.
     """
     geom = scenario.geometry
     if extent is None:
-        extent = (1.5 * geom.L, 1.5 * geom.W)
-    elif np.ndim(extent) == 0:
-        extent = (float(extent), float(extent))
-    ex, ey = float(extent[0]), float(extent[1])
-    if ex <= 0 or ey <= 0:
+        ex, ey = SHIFT_WINDOW_FACTOR * geom.L / 2.0, SHIFT_WINDOW_FACTOR * geom.W / 2.0
+    else:
+        ex = ey = float(extent)
+    if ex <= 0:
         raise ValidationError(f"map extent must be positive, got {extent}")
     if ex < geom.L / 2 or ey < geom.W / 2:
         raise ValidationError(
             f"map extent {extent} m does not cover the {geom.L} x {geom.W} m panel"
         )
-    if np.ndim(resolution) == 0:
-        resolution = (int(resolution), int(resolution))
-    nx, ny = int(resolution[0]), int(resolution[1])
-    if nx < 32 or ny < 32:
+    if resolution < 32:
         raise ValidationError(f"map resolution must be >= 32 per axis, got {resolution}")
 
     ap_res = window_aperture_resolution(scenario, ex, ey)
-    xs = _symmetric_axis(ex, nx)
-    ys = _symmetric_axis(ey, ny)
-    e = field_on_grid(
-        build_aperture_grid(scenario.laser, ap_res),
-        geom,
-        scenario.active_dust(),
-        scenario.laser.wavelength,
-        xs,
-        ys,
-        geom.D,
-    )
-    values = irradiance_at_point(e.T, scenario.laser.eta)
+    xs = _symmetric_axis(ex, resolution)
+    ys = _symmetric_axis(ey, resolution)
+    grid = build_aperture_grid(scenario.laser, ap_res)
+    # C order, so that sums over the map (beam_shift) run row by row.
+    values = np.ascontiguousarray(irradiance_on_grid(scenario, grid, xs, ys).T)
 
     meta = {
         "aperture_resolution": ap_res,

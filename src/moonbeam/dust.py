@@ -85,16 +85,6 @@ def particle_density(dm: DustModel, h):
     return n
 
 
-def real_index(dm: DustModel, h):
-    """Real refractive index of the dust-laden medium at height h.
-
-    Volume-fraction weighting of the particle index:
-    (m_p - 1) * N(h) * (d_p/2)^3 * 4*pi/3 + 1. Exactly 1 at and above
-    the ceiling.
-    """
-    return dm.polarizability_volume * particle_density(dm, h) + 1.0
-
-
 def imag_index(dm: DustModel, h, wavelength: float):
     """Imaginary refractive index at height h (field attenuation).
 
@@ -194,9 +184,9 @@ def mie_cross_sections(d_p: float, wavelength: float, m_p, n_terms: int | None =
     return c_ext, c_sca, x
 
 
-def mie_extinction_cross_section(d_p: float, wavelength: float, m_p, n_terms: int | None = None) -> float:
+def mie_extinction_cross_section(d_p: float, wavelength: float, m_p) -> float:
     """Mie extinction cross-section [m^2]; see :func:`mie_cross_sections`."""
-    c_ext, _, _ = mie_cross_sections(d_p, wavelength, m_p, n_terms=n_terms)
+    c_ext, _, _ = mie_cross_sections(d_p, wavelength, m_p)
     return c_ext
 
 

@@ -20,27 +20,6 @@ import numpy as np
 from .errors import DomainError, GeometryError, TerrainError
 
 
-def tilt_angle(h0: float, hp: float, D: float) -> float:
-    """Inclination of the optical axis against the horizontal.
-
-    Parameters
-    ----------
-    h0, hp : float
-        Source and panel center heights above ground [m].
-    D : float
-        Center-to-center distance along the axis [m].
-
-    Returns
-    -------
-    float
-        arctan((hp - h0) / D) [rad]; negative when the panel sits
-        below the source.
-    """
-    if D <= 0:
-        raise GeometryError(f"center-to-center distance must be positive, got D={D}")
-    return math.atan2(hp - h0, D)
-
-
 @dataclass(frozen=True)
 class ScenarioGeometry:
     """Placement of source aperture and receiving panel.
@@ -56,7 +35,9 @@ class ScenarioGeometry:
     L, W : float
         Panel side lengths along x and y in the tilted frame [m].
 
-    The tilt angle ``theta`` is derived, never supplied.
+    The tilt angle ``theta`` is derived, never supplied: the axis's
+    inclination against the horizontal, arctan((hp - h0) / D) [rad],
+    negative when the panel sits below the source.
     """
 
     D: float
@@ -75,7 +56,7 @@ class ScenarioGeometry:
             raise GeometryError(f"panel center height must be positive, got hp={self.hp}")
         if self.L <= 0 or self.W <= 0:
             raise GeometryError(f"panel sides must be positive, got L={self.L}, W={self.W}")
-        object.__setattr__(self, "theta", tilt_angle(self.h0, self.hp, self.D))
+        object.__setattr__(self, "theta", math.atan2(self.hp - self.h0, self.D))
 
 
 @dataclass(frozen=True)

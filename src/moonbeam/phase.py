@@ -60,11 +60,6 @@ class ComplexPhase:
         if self.re_vacuum < 0:
             raise DomainError(f"vacuum phase must be >= 0, got {self.re_vacuum}")
 
-    @property
-    def re(self) -> float:
-        """Total accumulated phase [rad]."""
-        return self.re_vacuum + self.re_excess
-
 
 def mean_density(dm: DustModel, h1, h2):
     """Average particle density over heights [h1, h2] [m^-3].
@@ -197,8 +192,8 @@ def cumulative_phase_quadrature(
     breaks = sorted(breaks) or None
 
     # The real integrand is the index excess n(h) - 1 = alpha * N(h),
-    # built directly from the density: forming it as real_index - 1.0
-    # would lose ~3 digits to cancellation at excesses of ~1e-13.
+    # built directly from the density: forming the index n and then
+    # n - 1.0 would lose ~3 digits to cancellation at excesses of ~1e-13.
     alpha = dust.polarizability_volume
     re_int, re_err = quad(
         lambda rp: alpha * particle_density(dust, height_at(rp)),

@@ -9,8 +9,9 @@ beam edges cannot leak interpolation error into the power.
 
 The beam-center shift is reported with two metrics: the canonical
 shift_y is the irradiance-weighted centroid over an analysis window of
-three panel half-extents, and peak_y is the location of maximum
-irradiance along the vertical center line. Both are positive when the
+diffraction.SHIFT_WINDOW_FACTOR (3) panel half-extents, and peak_y is
+the location of maximum irradiance along the vertical center line,
+both from diffraction.irradiance_on_grid. Both are positive when the
 beam center moves upward.
 """
 
@@ -24,16 +25,13 @@ import numpy as np
 # field_at_points is not called here but stays bound, because the
 # benchmark's recorder test (bench/test_reference.py) reads it here.
 from .diffraction import (  # noqa: F401
+    SHIFT_WINDOW_FACTOR,
     field_at_points,
-    field_on_grid,
-    irradiance_at_point,
+    irradiance_on_grid,
     window_aperture_resolution,
 )
-from .errors import ConvergenceError, DegenerateMapError, ValidationError
+from .errors import ConvergenceError, DegenerateMapError
 from .source import build_aperture_grid
-
-#: Analysis window for shift metrics, in panel half-extents.
-SHIFT_WINDOW_FACTOR = 3.0
 
 _ORDER_START = 16
 _ORDER_CEILING = 1024
@@ -123,11 +121,7 @@ def _gauss_nodes(half_x: float, half_y: float, order: int):
 def _window_integrals(grid, scenario, half_x, half_y, order):
     """(integral of I, integral of y*I) over the window, plus totals."""
     xg, yg, wg = _gauss_nodes(half_x, half_y, order)
-    geom = scenario.geometry
-    e = field_on_grid(
-        grid, geom, scenario.active_dust(), scenario.laser.wavelength, xg[:, 0], yg[0], geom.D
-    )
-    irr = irradiance_at_point(e, scenario.laser.eta)
+    irr = irradiance_on_grid(scenario, grid, xg[:, 0], yg[0])
     total = float(np.sum(wg * irr))
     first_moment = float(np.sum(wg * irr * yg))
     return total, first_moment
@@ -135,13 +129,9 @@ def _window_integrals(grid, scenario, half_x, half_y, order):
 
 def _line_peak(grid, scenario, half_y: float) -> float:
     """Location of maximum irradiance on the x = 0 line, refined."""
-    geom = scenario.geometry
 
     def irr_at(ys: np.ndarray) -> np.ndarray:
-        e = field_on_grid(
-            grid, geom, scenario.active_dust(), scenario.laser.wavelength, [0.0], ys, geom.D
-        )
-        return irradiance_at_point(e[0], scenario.laser.eta)
+        return irradiance_on_grid(scenario, grid, [0.0], ys)[0]
 
     ys = np.linspace(-half_y, half_y, 601)
     vals = irr_at(ys)
@@ -264,34 +254,13 @@ def panel_power(scenario, with_shift: bool = True) -> PanelResult:
     )
 
 
-def beam_shift(imap, window=None) -> float:
+def beam_shift(imap) -> float:
     """Irradiance-weighted centroid offset along y of a map [m].
 
-    window gives the half-widths of the analysis region; by default
-    three panel half-extents (from the map metadata) clipped to the
-    map, or the whole map when no panel is recorded.
+    The centroid runs over the whole map; compute_irradiance_map's
+    default extent is the shift analysis window of panel_power.
     """
-    if window is None:
-        if "panel_L" in imap.meta and "panel_W" in imap.meta:
-            window = (
-                min(SHIFT_WINDOW_FACTOR * imap.meta["panel_L"] / 2.0, imap.extent[0]),
-                min(SHIFT_WINDOW_FACTOR * imap.meta["panel_W"] / 2.0, imap.extent[1]),
-            )
-        else:
-            window = imap.extent
-    elif np.ndim(window) == 0:
-        window = (float(window), float(window))
-    wx, wy = float(window[0]), float(window[1])
-    if wx <= 0 or wy <= 0:
-        raise ValidationError(f"shift window must be positive, got {window}")
-    if wx > imap.extent[0] * (1 + 1e-12) or wy > imap.extent[1] * (1 + 1e-12):
-        raise ValidationError(
-            f"shift window {window} m exceeds the map extent {imap.extent} m"
-        )
-    col = np.abs(imap.xs) <= wx
-    row = np.abs(imap.ys) <= wy
-    sub = imap.values[np.ix_(row, col)]
-    total = float(np.sum(sub))
+    total = float(np.sum(imap.values))
     if total <= 0.0:
-        raise DegenerateMapError("no irradiance inside the shift window")
-    return float(np.sum(sub * imap.ys[row][:, None]) / total)
+        raise DegenerateMapError("no irradiance in the map")
+    return float(np.sum(imap.values * imap.ys[:, None]) / total)

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .dust import DustModel
+from .dust import DustModel, calibrate_cext, mie_extinction_cross_section
 from .errors import ConfigError, TerrainError, ValidationError
 from .geometry import ScenarioGeometry, ray_heights
 from .source import LaserSource
@@ -260,22 +260,23 @@ def scenario_from_mapping(overrides: dict) -> Scenario:
         raise ValidationError(
             f"dust.d_p={d_p} m exceeds the {MAX_PARTICLE_DIAMETER} m model validity guard"
         )
-    D = cfg["geometry.D"]
-    if D > MAX_DISTANCE:
-        raise ValidationError(f"geometry.D={D} m exceeds the supported {MAX_DISTANCE} m")
-
-    # Terrain clearance: ray heights are linear, so it suffices that the
-    # lowest point of each endpoint plane sits above ground.
-    h0, hp = cfg["geometry.h0"], cfg["geometry.hp"]
-    if hp <= 0:
-        raise ValidationError(f"panel below minimum height: hp={hp} m")
-    if D > 0 and h0 > 0:
+    # Range and terrain clearance of the scenario's geometry and of the
+    # calibration's, whose unset keys fall back to geometry.*. Ray
+    # heights are linear, so it suffices that the lowest point of each
+    # endpoint plane sits above ground.
+    for p in ("geometry", "dust.calibration"):
+        D, h0, hp = (
+            cfg[f"geometry.{k}"] if cfg[f"{p}.{k}"] is None else cfg[f"{p}.{k}"]
+            for k in ("D", "h0", "hp")
+        )
+        if D > MAX_DISTANCE:
+            raise ValidationError(f"{p}.D={D} m exceeds the supported {MAX_DISTANCE} m")
         geom = ScenarioGeometry(D=D, h0=h0, hp=hp)
         for y_src, y_dst, what in (
-            (0.0, -0.5 * cfg["geometry.W"], f"panel below minimum height: hp={hp} m leaves "
-             "the panel's lower edge"),
-            (-cfg["laser.r_a"], 0.0, f"source below minimum height: h0={h0} m leaves the "
-             "aperture's lower edge"),
+            (0.0, -0.5 * cfg["geometry.W"], f"panel below minimum height: {p}.hp={hp} m "
+             "leaves the panel's lower edge"),
+            (-cfg["laser.r_a"], 0.0, f"source below minimum height: {p}.h0={h0} m leaves "
+             "the aperture's lower edge"),
         ):
             try:
                 ray_heights(geom, y_src, y_dst, D)
@@ -322,16 +323,6 @@ def mapping_from_text(config_text: str) -> dict:
     return data
 
 
-def parse_and_validate(config_text: str) -> Scenario:
-    """Parse a JSON configuration document into a validated Scenario.
-
-    An empty document (or empty object) yields the default scenario.
-    Parse errors carry line/column information; validation errors name
-    the offending key and constraint.
-    """
-    return scenario_from_mapping(mapping_from_text(config_text))
-
-
 def resolve_cext(scenario: Scenario) -> Scenario:
     """Fill the dust cross-section from its configured source.
 
@@ -346,24 +337,14 @@ def resolve_cext(scenario: Scenario) -> Scenario:
     if mode == "explicit":
         return scenario
     if mode == "mie":
-        from .dust import mie_extinction_cross_section
-
         c = mie_extinction_cross_section(
             scenario.dust.d_p, scenario.laser.wavelength, scenario.dust.m_p
         )
         return scenario.with_updates(dust=replace(scenario.dust, C_ext=c))
     if mode == "calibrated":
-        from .dust import calibrate_cext
-
         ref = scenario.calibration
-        geom = scenario.geometry
-        ref_geom = ScenarioGeometry(
-            D=ref.D if ref.D is not None else geom.D,
-            h0=ref.h0 if ref.h0 is not None else geom.h0,
-            hp=ref.hp if ref.hp is not None else geom.hp,
-            L=geom.L,
-            W=geom.W,
-        )
+        given = {k: getattr(ref, k) for k in ("D", "h0", "hp") if getattr(ref, k) is not None}
+        ref_geom = replace(scenario.geometry, **given)
         c = calibrate_cext(scenario.with_updates(geometry=ref_geom), ref.reference_power)
         return scenario.with_updates(dust=replace(scenario.dust, C_ext=c))
     raise ValidationError(_NO_CEXT_SOURCE)

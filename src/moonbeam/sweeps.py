@@ -31,7 +31,7 @@ from .errors import BeamError, NumericalError, ValidationError
 from .geometry import ray_heights
 from .phase import column_density
 from .receiver import RESULT_COLUMNS, _refine, beam_shift, panel_power, result_row
-from .scenario import CEXT_SOURCE_HELP, MAX_DISTANCE, Scenario, resolve_cext
+from .scenario import CEXT_SOURCE_HELP, MAX_DISTANCE, MAX_PARTICLE_DIAMETER, Scenario, resolve_cext
 
 SWEEP_KINDS = (
     "distance",
@@ -102,6 +102,8 @@ class SweepSpec:
                 raise ValidationError(f"height axis {name!r} must be positive")
             if name == "d_p" and np.any(arr < 0):
                 raise ValidationError("particle-size axis must be >= 0")
+            if name == "d_p" and np.any(arr > MAX_PARTICLE_DIAMETER):
+                raise ValidationError(f"particle-size axis exceeds {MAX_PARTICLE_DIAMETER} m")
         object.__setattr__(self, "axes", resolved)
         if self.kind in _KINDS_NEEDING_CEXT and self.base.cext_source is None:
             raise ValidationError(

@@ -16,7 +16,6 @@ from moonbeam.dust import (
     mie_extinction_cross_section,
     particle_density,
     rayleigh_cross_section,
-    real_index,
 )
 from moonbeam.errors import CalibrationError, DomainError
 from moonbeam.receiver import panel_power
@@ -92,13 +91,6 @@ def test_particle_density_array_and_domain():
         particle_density(dm, 0.0)
     with pytest.raises(DomainError, match="positive"):
         particle_density(dm, np.array([1.0, -2.0]))
-
-
-def test_real_index_volume_fraction():
-    dm = default_dust()
-    n2 = real_index(dm, 2.0)
-    assert n2 - 1.0 == pytest.approx(dm.polarizability_volume * N_AT_2M, rel=1e-9)
-    assert real_index(dm, 10.0) == 1.0
 
 
 def test_imag_index():
@@ -289,7 +281,9 @@ def test_calibration_builds_one_grid_and_probes_few_cross_sections(
     build = partial(_counting, grids, source.build_aperture_grid)
     for mod in (source, receiver, diffraction):
         monkeypatch.setattr(mod, "build_aperture_grid", build)
-    monkeypatch.setattr(receiver, "field_on_grid", partial(_counting, fields, receiver.field_on_grid))
+    monkeypatch.setattr(
+        diffraction, "field_on_grid", partial(_counting, fields, diffraction.field_on_grid)
+    )
     anchor = scenario_from_mapping({
         "geometry.D": 5000.0,
         "geometry.h0": h0,

@@ -10,28 +10,15 @@ from moonbeam.geometry import (
     PathPoint,
     ScenarioGeometry,
     endpoint_heights,
-    tilt_angle,
 )
-
-
-def test_tilt_angle_level_link_is_zero():
-    assert tilt_angle(2.0, 2.0, 5000.0) == 0.0
-
-
-def test_tilt_angle_value_and_sign():
-    assert tilt_angle(2.0, 10.0, 1000.0) == pytest.approx(math.atan2(8.0, 1000.0), rel=1e-15)
-    assert tilt_angle(10.0, 2.0, 1000.0) < 0.0
-
-
-def test_tilt_angle_rejects_nonpositive_distance():
-    with pytest.raises(GeometryError, match="distance must be positive"):
-        tilt_angle(2.0, 2.0, 0.0)
 
 
 def test_geometry_derives_theta():
     geom = ScenarioGeometry(D=1000.0, h0=2.0, hp=12.0)
     assert geom.theta == pytest.approx(math.atan2(10.0, 1000.0), rel=1e-15)
     assert geom.L == 0.5 and geom.W == 0.5
+    assert ScenarioGeometry(D=5000.0, h0=2.0, hp=2.0).theta == 0.0
+    assert ScenarioGeometry(D=1000.0, h0=10.0, hp=2.0).theta < 0.0
 
 
 def test_geometry_refuses_a_supplied_theta():

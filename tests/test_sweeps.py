@@ -69,6 +69,8 @@ def test_spec_validation():
         SweepSpec(kind="panel_height", base=base, axes={"hp": [0.0]})
     with pytest.raises(ValidationError, match=">= 0"):
         SweepSpec(kind="particle_size", base=dusty_base(), axes={"d_p": [-1e-9]})
+    with pytest.raises(ValidationError, match="particle-size axis exceeds 1e-05 m"):
+        SweepSpec(kind="particle_size", base=dusty_base(), axes={"d_p": [2e-5]})
 
 
 def test_cext_needing_kinds_refuse_to_default():
