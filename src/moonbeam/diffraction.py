@@ -412,7 +412,7 @@ class IrradianceMap:
 
 def _symmetric_axis(half_width: float, count: int) -> np.ndarray:
     # (i - (count-1)/2) * step mirrors exactly in floating point, which
-    # the x-parity property relies on.
+    # compute_irradiance_map's mirrored half relies on.
     step = 2.0 * half_width / (count - 1)
     return (np.arange(count) - (count - 1) / 2.0) * step
 
@@ -423,6 +423,8 @@ def compute_irradiance_map(
     resolution: int = 129,
 ) -> IrradianceMap:
     """Irradiance over a uniform grid on the panel plane.
+
+    The x >= 0 half is evaluated and mirrored: values[:, ::-1] == values.
 
     Parameters
     ----------
@@ -453,8 +455,13 @@ def compute_irradiance_map(
     xs = _symmetric_axis(ex, resolution)
     ys = _symmetric_axis(ey, resolution)
     grid = build_aperture_grid(scenario.laser, ap_res)
+    # The irradiance is even in x (symmetric aperture, ray heights
+    # independent of x) and xs mirrors exactly; with an odd count the
+    # x >= 0 half starts at x = 0.
+    half = irradiance_on_grid(scenario, grid, xs[resolution // 2:], ys)
+    mirror = half[:0:-1] if resolution % 2 else half[::-1]
     # C order, so that sums over the map (beam_shift) run row by row.
-    values = np.ascontiguousarray(irradiance_on_grid(scenario, grid, xs, ys).T)
+    values = np.ascontiguousarray(np.concatenate([mirror, half]).T)
 
     meta = {
         "aperture_resolution": ap_res,

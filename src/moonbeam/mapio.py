@@ -49,14 +49,19 @@ def write_table_csv(path, columns, rows) -> None:
 
 
 def write_map_csv(imap: IrradianceMap, path) -> None:
-    """CSV matrix: header row of x coordinates, first column of y."""
+    """CSV matrix: header row of x coordinates, first column of y.
+
+    One ``%`` call formats each line. ``"%.12g" % v`` is format_value(v)
+    for every double, and no cell needs CSV quoting, so the bytes are
+    those of a csv.writer of format_value cells.
+    """
+    cells = ["%" + FLOAT_FORMAT] * imap.xs.size
+    header = ",".join(["y\\x"] + cells) + "\n"
+    row = ",".join(["%" + FLOAT_FORMAT] + cells) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y\\x"] + [format_value(x) for x in imap.xs])
-        for j, y in enumerate(imap.ys):
-            writer.writerow(
-                [format_value(y)] + [format_value(v) for v in imap.values[j]]
-            )
+        fh.write(header % tuple(imap.xs.tolist()))
+        for y, values in zip(imap.ys.tolist(), imap.values.tolist()):
+            fh.write(row % (y, *values))
 
 
 def write_map_pgm(imap: IrradianceMap, path) -> None:

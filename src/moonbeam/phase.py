@@ -72,44 +72,43 @@ def mean_density(dm: DustModel, h1, h2):
         A*(1 - ln(a/H)) - A*b*log1p((b-a)/a)/(b-a),
 
     whose only cancellation is bounded by eps*A/N, negligible except
-    within microns of the ceiling. Accepts scalars or arrays.
+    within microns of the ceiling. Accepts scalars or arrays; ln is
+    taken per endpoint, so log1p is the only per-pair transcendental.
     """
     h1a = np.asarray(h1, dtype=float)
     h2a = np.asarray(h2, dtype=float)
     if np.any(h1a <= 0.0) or np.any(h2a <= 0.0):
         raise DomainError("heights must be positive to evaluate the density profile")
-    lo = np.minimum(h1a, h2a)
-    hi = np.maximum(h1a, h2a)
-    span = hi - lo
-
-    near_equal = span <= _EQUAL_HEIGHT_RTOL * (lo + hi)
-    # Midpoint value where the interval is degenerate.
-    mid = np.clip(0.5 * (lo + hi), dm.h_floor, dm.H)
-    result = -dm.A * np.log(mid / dm.H)
-
-    if np.any(~near_equal):
-        safe_span = np.where(near_equal, 1.0, span)
+    scalar = h1a.ndim == 0 and h2a.ndim == 0
+    h1a, h2a = np.atleast_1d(h1a, h2a)
+    span = np.abs(h1a - h2a)
+    total = h1a + h2a
+    near_equal = span <= _EQUAL_HEIGHT_RTOL * total
+    # Logarithmic segment [a, b] between floor and ceiling (zero density
+    # above). Endpoints are clamped and their logs taken before they
+    # broadcast: clipping is monotone, so a and ln(a/H) are the smaller.
+    c1 = np.clip(h1a, dm.h_floor, dm.H)
+    c2 = np.clip(h2a, dm.h_floor, dm.H)
+    log_a = np.minimum(np.log(c1 / dm.H), np.log(c2 / dm.H))
+    a = np.minimum(c1, c2)
+    b = np.maximum(c1, c2)
+    seg = b - a
+    seg_safe = np.where(seg > 0.0, seg, 1.0)
+    integral = dm.A * (1.0 - log_a) - dm.A * b * np.log1p(seg / a) / seg_safe
+    integral *= seg
+    if np.any(h1a < dm.h_floor) or np.any(h2a < dm.h_floor):
         # Clamped-region segment: constant density down to the floor.
-        below_len = np.clip(np.minimum(hi, dm.h_floor) - lo, 0.0, None)
-        n_floor = -dm.A * math.log(dm.h_floor / dm.H)
-        integral = below_len * n_floor
-        # Logarithmic segment between floor and ceiling.
-        a = np.clip(lo, dm.h_floor, dm.H)
-        b = np.clip(hi, dm.h_floor, dm.H)
-        seg = b - a
-        has_mid = seg > 0.0
-        a_safe = np.where(has_mid, a, 1.0)
-        b_safe = np.where(has_mid, b, 2.0)
-        seg_safe = np.where(has_mid, seg, 1.0)
-        mean_mid = dm.A * (1.0 - np.log(a_safe / dm.H)) - dm.A * b_safe * np.log1p(
-            seg_safe / a_safe
-        ) / seg_safe
-        integral = integral + np.where(has_mid, mean_mid * seg, 0.0)
-        # Above the ceiling the density is zero: no further segments.
-        result = np.where(near_equal, result, integral / safe_span)
-
-    if h1a.ndim == 0 and h2a.ndim == 0:
-        return float(result)
+        lo = np.minimum(h1a, h2a)
+        below_len = np.clip(np.minimum(np.maximum(h1a, h2a), dm.h_floor) - lo, 0.0, None)
+        integral = below_len * (-dm.A * math.log(dm.h_floor / dm.H)) + integral
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = integral / span
+    if np.any(near_equal):
+        # Midpoint value where the interval is degenerate.
+        mid = np.clip(0.5 * total[near_equal], dm.h_floor, dm.H)
+        result[near_equal] = -dm.A * np.log(mid / dm.H)
+    if scalar:
+        return float(result[0])
     return result
 
 

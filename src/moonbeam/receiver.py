@@ -17,6 +17,7 @@ beam center moves upward.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,15 @@ def result_row(scenario, result: PanelResult) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _leggauss(order: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per order."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def _gauss_nodes(half_x: float, half_y: float, order: int):
     """Tensor Gauss-Legendre nodes over a centered rectangle.
 
@@ -108,7 +118,7 @@ def _gauss_nodes(half_x: float, half_y: float, order: int):
     """
     if order % 2:
         raise ValueError(f"quadrature order must be even, got {order}")
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = _leggauss(order)
     half = order // 2
     xs = t[half:] * half_x
     wx = 2.0 * w[half:] * half_x

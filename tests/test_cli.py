@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from moonbeam import cli
 from moonbeam.cli import main
 from moonbeam.dust import mie_cross_sections
+from moonbeam.errors import ResolutionError
 from moonbeam.mapio import format_value
 from moonbeam.receiver import RESULT_COLUMNS
 from moonbeam.scenario import resolve_cext, scenario_from_mapping
@@ -298,3 +300,21 @@ def test_validate_command_passes(capsys):
     assert code == 0
     assert "4/4 oracle checks passed" in out
     assert "FAIL" not in out
+
+
+def test_validate_reports_a_refused_aperture_grid_as_fail(capsys, monkeypatch):
+    build = cli.build_aperture_grid
+
+    def refuse_64(laser, resolution):
+        if resolution == 64:
+            raise ResolutionError("aperture resolution 64 reproduces only 990 W")
+        return build(laser, resolution)
+
+    monkeypatch.setattr(cli, "build_aperture_grid", refuse_64)
+    code, out, _ = run(capsys, "validate", "--rays", "4")
+    assert code == 2
+    assert (
+        "FAIL aperture grid power normalization: aperture resolution 64 reproduces only 990 W"
+        in out.splitlines()
+    )
+    assert "3/4 oracle checks passed" in out

@@ -1,9 +1,13 @@
 """Tests for deterministic CSV/PGM serialization."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moonbeam.diffraction import IrradianceMap
 from moonbeam.mapio import format_value, write_map_csv, write_map_pgm, write_table_csv
@@ -56,6 +60,39 @@ def test_write_map_csv_layout(tmp_path):
     assert lines[0] == "y\\x,-0.1,0,0.1"
     assert lines[1] == "-0.2,0,1,2"
     assert lines[3] == "0.2,6,7,8"
+
+
+def csv_writer_map_bytes(imap):
+    """The map CSV as csv.writer writes rows of format_value cells."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["y\\x"] + [format_value(x) for x in imap.xs])
+    for y, row in zip(imap.ys, imap.values):
+        writer.writerow([format_value(y)] + [format_value(v) for v in row])
+    return buf.getvalue().encode()
+
+
+#: Any double, with the special values always in the draw.
+map_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     2.2250738585072014e-308 / 3.0, 1.7976931348623157e308, 1.0 / 3.0]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 7), st.integers(0, 7), st.data())
+def test_write_map_csv_bytes_equal_csv_writer_of_format_value(tmp_path_factory, nx, ny, data):
+    def floats(n):
+        return np.array(data.draw(st.lists(map_floats, min_size=n, max_size=n)), dtype=float)
+
+    imap = IrradianceMap(
+        xs=floats(nx), ys=floats(ny), values=floats(nx * ny).reshape(ny, nx),
+        extent=(1.0, 1.0), distance=1.0, meta={},
+    )
+    path = tmp_path_factory.mktemp("map") / "map.csv"
+    write_map_csv(imap, path)
+    assert path.read_bytes() == csv_writer_map_bytes(imap)
 
 
 def test_write_map_pgm_format_and_scale(tmp_path):

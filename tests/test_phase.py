@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from moonbeam.dust import DustModel, particle_density
@@ -72,6 +74,57 @@ def test_mean_density_frozen_log_region_value():
 def test_mean_density_matches_quadrature(h1, h2):
     dm = default_dust()
     assert mean_density(dm, h1, h2) == pytest.approx(quad_mean(dm, h1, h2), rel=1e-10)
+
+
+def per_pair_mean_density(dm, h1, h2):
+    """mean_density with every term evaluated on the broadcast pairs: the
+    clamps, both logarithms and the floor segment per pair."""
+    h1a = np.asarray(h1, dtype=float)
+    h2a = np.asarray(h2, dtype=float)
+    lo = np.minimum(h1a, h2a)
+    hi = np.maximum(h1a, h2a)
+    span = hi - lo
+    near_equal = span <= 1e-9 * (lo + hi)
+    mid = np.clip(0.5 * (lo + hi), dm.h_floor, dm.H)
+    result = -dm.A * np.log(mid / dm.H)
+    if np.any(~near_equal):
+        safe_span = np.where(near_equal, 1.0, span)
+        below_len = np.clip(np.minimum(hi, dm.h_floor) - lo, 0.0, None)
+        n_floor = -dm.A * math.log(dm.h_floor / dm.H)
+        integral = below_len * n_floor
+        a = np.clip(lo, dm.h_floor, dm.H)
+        b = np.clip(hi, dm.h_floor, dm.H)
+        seg = b - a
+        has_mid = seg > 0.0
+        a_safe = np.where(has_mid, a, 1.0)
+        b_safe = np.where(has_mid, b, 2.0)
+        seg_safe = np.where(has_mid, seg, 1.0)
+        mean_mid = dm.A * (1.0 - np.log(a_safe / dm.H)) - dm.A * b_safe * np.log1p(
+            seg_safe / a_safe
+        ) / seg_safe
+        integral = integral + np.where(has_mid, mean_mid * seg, 0.0)
+        result = np.where(near_equal, result, integral / safe_span)
+    return result
+
+
+#: Heights from below the floor to above the ceiling, with the profile's
+#: own breakpoints and the paper's panel and source heights.
+table_heights = st.lists(
+    st.one_of(st.floats(1e-4, 20.0), st.sampled_from([1e-4, 1e-3, 2.0, 8.68, 12.0, 20.0])),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table_heights, table_heights, st.lists(st.floats(-1e-9, 1e-9), max_size=6))
+def test_mean_density_table_equals_the_per_pair_formula(rows, cols, nudges):
+    # Columns within 1e-9 m of the first row's height make near-equal pairs.
+    cols = cols + [rows[0] + d for d in nudges if rows[0] + d > 0.0]
+    dm = default_dust()
+    h1, h2 = np.array(rows)[:, None], np.array(cols)[None, :]
+    assert np.array_equal(mean_density(dm, h1, h2), per_pair_mean_density(dm, h1, h2))
+    assert np.array_equal(mean_density(dm, h2, h1), per_pair_mean_density(dm, h2, h1))
+    assert mean_density(dm, rows[0], cols[-1]) == per_pair_mean_density(dm, rows[0], cols[-1])
 
 
 def test_mean_density_symmetric_in_endpoints():

@@ -129,3 +129,37 @@ def test_lattice_holds_the_interior_nodes():
     assert np.array_equal(grid.lattice[i, j], grid.weight[:n] * grid.e0[:n])
     assert np.count_nonzero(grid.lattice) == n
     assert grid.lattice.shape == (grid.axis.size, grid.axis.size)
+
+
+def subcell_rim_cells(ls, res):
+    """Rim cells by the (rim, 32*32) subcell coordinate arrays: counts
+    times the subcell area, and centroids as sums over covered subcells."""
+    ra, cell, sub = ls.r_a, 2.0 * ls.r_a / res, 32
+    centers = (np.arange(res) + 0.5) * cell - ra
+    cx, cy = (a.ravel() for a in np.meshgrid(centers, centers, indexing="ij"))
+    ax, ay, half = np.abs(cx), np.abs(cy), 0.5 * cell
+    far2 = (ax + half) ** 2 + (ay + half) ** 2
+    near2 = np.maximum(ax - half, 0.0) ** 2 + np.maximum(ay - half, 0.0) ** 2
+    rim = (far2 >= ra**2) & (near2 < ra**2)
+    off = ((np.arange(sub) + 0.5) / sub - 0.5) * cell
+    ox, oy = np.meshgrid(off, off, indexing="ij")
+    sx = cx[rim][:, None] + ox.ravel()[None, :]
+    sy = cy[rim][:, None] + oy.ravel()[None, :]
+    hit = (sx * sx + sy * sy) < ra**2
+    counts = hit.sum(axis=1)
+    keep = counts > 0
+    x = np.where(hit, sx, 0.0).sum(axis=1)[keep] / counts[keep]
+    y = np.where(hit, sy, 0.0).sum(axis=1)[keep] / counts[keep]
+    return x, y, counts[keep] * (cell / sub) ** 2
+
+
+@pytest.mark.parametrize("res", sorted({*range(33, 305, 17), 64, 65, 168, 304}))
+def test_rim_cells_match_the_subcell_sums(res):
+    ls = default_source()
+    grid = build_aperture_grid(ls, res)
+    x, y, w = subcell_rim_cells(ls, res)
+    n = grid.lattice_nodes
+    assert np.array_equal(grid.weight[n:], w)
+    ulp = np.spacing(ls.r_a)
+    assert np.max(np.abs(grid.x[n:] - x)) <= 4 * ulp
+    assert np.max(np.abs(grid.y[n:] - y)) <= 4 * ulp
