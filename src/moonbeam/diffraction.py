@@ -25,10 +25,13 @@ Two evaluations of that sum:
   per distinct rim coordinate. A bound on the dropped second-order
   terms over all nodes is checked first, and the whole grid takes the
   direct sum when it exceeds _FRESNEL_REMAINDER_MAX; a direct sum of
-  more than _DIRECT_PAIRS_MAX pairs is refused instead.
+  more than _DIRECT_PAIRS_MAX pairs is refused instead. Destination
+  rows are built and contracted in blocks of _ROW_BLOCK_ELEMENTS.
 
-Both are deterministic: the reduction order depends only on the array
-shapes, never on the worker or BLAS thread count.
+Both are deterministic, whatever the worker, BLAS thread or row-block
+count: the direct sum reduces in numpy's fixed order, and the separable
+products in BLAS dots of at most _DOT_SLICE terms, which OpenBLAS sums
+on one thread, with the slices added in order.
 
 All irradiance on the panel plane (panel power, shift window, line peak
 and maps) comes from :func:`irradiance_on_grid`. SHIFT_WINDOW_FACTOR
@@ -60,6 +63,12 @@ SHIFT_WINDOW_FACTOR = 3.0
 #: temporary array at 16 MB, small enough that the allocator recycles
 #: them instead of round-tripping pages through the kernel.
 _BLOCK_ELEMENTS = 2_000_000
+
+#: Complex elements (1 MiB) per block of field_on_grid's destination rows.
+_ROW_BLOCK_ELEMENTS = 2**16
+
+#: Longest BLAS dot: OpenBLAS splits ?dot across threads from n = 10000.
+_DOT_SLICE = 4096
 
 #: Largest bound on the separable sum's dropped second-order terms,
 #: relative to each pair's magnitude, for which field_on_grid uses it.
@@ -145,8 +154,8 @@ def field_at_points(
 
     k = 2.0 * math.pi / wavelength
     if dust is not None:
-        h_src, h_dst = ray_heights(geom, grid.y, y, z)
-        hs, src_row = np.unique(h_src, return_inverse=True)
+        ys_src, src_row = grid._distinct_y
+        hs, h_dst = ray_heights(geom, ys_src, y, z)
         hd, dst_row = np.unique(h_dst, return_inverse=True)
         nbar_table = mean_density(dust, hd[:, None], hs[None, :])
         kappa = k * dust.polarizability_volume
@@ -212,6 +221,15 @@ def _fresnel_remainder(k: float, z: float, rho2: float, col: float) -> float:
     return e1 + e2 + (1.0 + a2) * e3 + a1 * a2 + a1 * a3 + a2 * a3 + a1 * a2 * a3
 
 
+def _contract(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """E[i, j] = sum over k of left[i, k] * right[j, k], as BLAS dots
+    (matmul of stacked vectors) over k-slices of _DOT_SLICE added in order."""
+    return sum(
+        np.matmul(left[:, None, None, s:s + _DOT_SLICE], right[None, :, s:s + _DOT_SLICE, None])
+        for s in range(0, left.shape[1], _DOT_SLICE)
+    )[:, :, 0, 0]
+
+
 def field_on_grid(
     grid: ApertureGrid,
     geom: ScenarioGeometry,
@@ -243,29 +261,19 @@ def field_on_grid(
 
     bound = math.inf
     if grid.lattice is not None:
-        # Source coordinates per axis: the lattice axis, then the
-        # distinct x (or y) values of the rim nodes. Every factor below
-        # is evaluated once per coordinate; rim node n lies at column
-        # rim_ix[n] of the x factors and rim_iy[n] of the y factors.
-        u = grid.axis
-        rim = slice(grid.lattice_nodes, None)
-        rim_x, rim_ix = np.unique(grid.x[rim], return_inverse=True)
-        rim_y, rim_iy = np.unique(grid.y[rim], return_inverse=True)
-        cx = np.concatenate([u, rim_x])
-        cy = np.concatenate([u, rim_y])
+        cx, cy, rim_ix, rim_a, first, lattice_t, amp_sum = grid._separable
         rho2 = (float(np.max(np.abs(xs))) + float(np.max(np.abs(cx)))) ** 2 + (
-            float(np.max(np.abs(ys))) + float(np.max(np.abs(cy)))
-        ) ** 2
+            float(np.max(np.abs(ys))) + float(np.max(np.abs(cy)))) ** 2
         col = 0.0
         if dust is not None:
+            # Mean density never rises with either endpoint height.
             h_src, h_dst = ray_heights(geom, cy, ys, z)
-            nbar = mean_density(dust, h_dst[:, None], h_src[None, :])
             c = complex(dust.C_ext, k * dust.polarizability_volume)
-            col = abs(c) * float(np.max(nbar))
+            col = abs(c) * mean_density(dust, np.min(h_dst), np.min(h_src))
         bound = _fresnel_remainder(k, z, rho2, col)
 
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
     if bound > _FRESNEL_REMAINDER_MAX:
+        xg, yg = np.meshgrid(xs, ys, indexing="ij")
         pairs = float(grid.x.size) * xg.size
         if pairs > _DIRECT_PAIRS_MAX:
             raise ResolutionError(
@@ -282,47 +290,40 @@ def field_on_grid(
 
     # Per pair, a/z * Kx(dx) * Ky(dy) * Dust(y, y0) * (1 + beta*rho^2 +
     # gamma*rho^4), with beta = -1/2z^2 - c*nbar/2z and gamma = jk/8z^3.
-    # Expanding rho^2 = dx^2 + dy^2 groups it by dx^0, dx^2 and dx^4.
+    # Expanding rho^2 = dx^2 + dy^2 groups it by dx^0, dx^2 and dx^4;
+    # 1/lambda is applied at the end.
     dx2 = (xs[:, None] - cx[None, :]) ** 2
-    dy2 = (ys[:, None] - cy[None, :]) ** 2
     q = k / (2.0 * z)
     kx = np.exp(-1j * q * dx2)
-    beta = -0.5 / (z * z)
-    if dust is None:
-        ky = np.exp(-1j * q * dy2)
-    else:
-        cn = c * nbar
-        ky = np.exp(-1j * q * dy2 - z * cn)
-        beta = beta - cn / (2.0 * z)
-    gamma = 1j * k / (8.0 * z**3)
-    left = (kx, kx * dx2, kx * (dx2 * dx2))
-    right = (
-        ky * (1.0 + beta * dy2 + gamma * (dy2 * dy2)),
-        ky * (beta + 2.0 * gamma * dy2),
-        ky * gamma,
-    )
-    # The contractions run in einsum's loops, whose summation order is
-    # fixed by the shapes; OpenBLAS matmul changes it with its thread
-    # count. The lattice is real, so its product is a real one.
-    n = u.size
-    lat = np.concatenate([f[:, :n] for f in left])
-    la = np.einsum("ik,kj->ij", np.concatenate([lat.real, lat.imag]), grid.lattice / wavelength)
-    la = la[: lat.shape[0]] + 1j * la[lat.shape[0]:]
+    left = np.stack([kx, kx * dx2, kx * (dx2 * dx2)], axis=1)
+    # The lattice is real, so its product is a real one.
+    n = grid.axis.size
+    lat = left[:, :, :n].reshape(-1, n)
+    la = _contract(np.concatenate([lat.real, lat.imag]), lattice_t)
     # The rim nodes' left columns, scaled by their amplitudes, are summed
     # per distinct y (in a fixed order), where they meet one right column.
-    a = grid.weight[rim] * grid.e0[rim] / wavelength
-    by_y = np.argsort(rim_iy, kind="stable")
-    first = np.searchsorted(rim_iy[by_y], np.arange(rim_y.size))
-    rim_left = [
-        np.add.reduceat(np.take(f[:, n:], rim_ix[by_y], axis=1) * a[by_y], first, axis=1)
-        for f in left
-    ]
-    lat_left = np.split(la, 3)
-    e = np.einsum(
-        "ik,jk->ij",
-        np.hstack([m for p in range(3) for m in (lat_left[p], rim_left[p])]),
-        np.hstack(right),
-    ) / z
+    rim = np.add.reduceat(np.take(left[:, :, n:], rim_ix, axis=2) * rim_a, first, axis=2)
+    la = (la[: lat.shape[0]] + 1j * la[lat.shape[0]:]).reshape(xs.size, 3, n)
+    left = np.concatenate([la, rim], axis=2).reshape(xs.size, -1)
+    # The right factors of each block of rows fill one reused buffer.
+    gamma = 1j * k / (8.0 * z**3)
+    rows = max(1, min(ys.size, _ROW_BLOCK_ELEMENTS // (3 * cy.size)))
+    buf = np.empty((rows, 3, cy.size), dtype=complex)
+    e = np.empty((xs.size, ys.size), dtype=complex)
+    for start in range(0, ys.size, rows):
+        blk = slice(start, min(start + rows, ys.size))
+        dy2 = (ys[blk, None] - cy[None, :]) ** 2
+        arg, beta = -1j * q * dy2, -0.5 / (z * z)
+        if dust is not None:
+            cn = c * mean_density(dust, h_dst[blk, None], h_src[None, :])
+            arg, beta = arg - z * cn, beta - cn / (2.0 * z)
+        ky = np.exp(arg)
+        right = buf[: dy2.shape[0]]
+        np.multiply(ky, 1.0 + beta * dy2 + gamma * (dy2 * dy2), out=right[:, 0])
+        np.multiply(ky, beta + 2.0 * gamma * dy2, out=right[:, 1])
+        np.multiply(ky, gamma, out=right[:, 2])
+        e[:, blk] = _contract(left, right.reshape(dy2.shape[0], -1))
+    e /= wavelength * z
     if not np.all(np.isfinite(e.view(float))):
         raise NumericalError("field accumulation produced non-finite values")
 
@@ -331,7 +332,7 @@ def field_on_grid(
     # times its magnitude, and no pair's magnitude exceeds weight*e0/(lambda*z).
     i, j = int(np.argmax(np.abs(xs))), int(np.argmax(np.abs(ys)))
     exact = field_at_points(grid, geom, dust, wavelength, xs[i], ys[j], z)
-    scale = float(np.sum(np.abs(grid.weight * grid.e0))) / (wavelength * z)
+    scale = amp_sum / (wavelength * z)
     if not abs(e[i, j] - exact) <= (bound + _ROUNDING_RTOL) * scale:
         raise NumericalError(
             f"separable field at ({xs[i]:.6g}, {ys[j]:.6g}, {z:.6g}) m differs from the "

@@ -15,6 +15,7 @@ axis, which the separable propagation kernel sums by matrix products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -136,6 +137,24 @@ class ApertureGrid:
         for arr in (self.x, self.y, self.weight, self.e0, self.axis, self.lattice):
             if arr is not None:
                 arr.setflags(write=False)
+
+    #: np.unique(y, return_inverse=True), computed once per grid.
+    _distinct_y = functools.cached_property(lambda self: np.unique(self.y, return_inverse=True))
+
+    @functools.cached_property
+    def _separable(self):
+        """field_on_grid's constants: per axis the lattice axis, then the rim's distinct values;
+        the rim's x columns, weight*e0 and y-group starts in y order; lattice.T; sum|weight*e0|."""
+        rim = slice(self.lattice_nodes, None)
+        rim_x, rim_ix = np.unique(self.x[rim], return_inverse=True)
+        rim_y, rim_iy = np.unique(self.y[rim], return_inverse=True)
+        by_y = np.argsort(rim_iy, kind="stable")
+        return (
+            np.concatenate([self.axis, rim_x]), np.concatenate([self.axis, rim_y]),
+            rim_ix[by_y], (self.weight[rim] * self.e0[rim])[by_y],
+            np.searchsorted(rim_iy[by_y], np.arange(rim_y.size)),
+            np.ascontiguousarray(self.lattice.T), float(np.sum(np.abs(self.weight * self.e0))),
+        )
 
     def discrete_power(self, eta: float) -> float:
         """Power carried by the discretized field [W]."""

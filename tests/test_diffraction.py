@@ -3,6 +3,10 @@
 import cmath
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +24,9 @@ from moonbeam.diffraction import (
     required_aperture_resolution,
 )
 from moonbeam.dust import DustModel
-from moonbeam import diffraction
+from moonbeam import diffraction, phase
 from moonbeam.errors import ResolutionError, TerrainError, ValidationError
-from moonbeam.geometry import PathPoint, ScenarioGeometry, endpoint_heights
+from moonbeam.geometry import PathPoint, ScenarioGeometry, endpoint_heights, ray_heights
 from moonbeam.phase import column_density
 from moonbeam.scenario import scenario_from_mapping
 from moonbeam.source import ApertureGrid, LaserSource, build_aperture_grid
@@ -396,6 +400,79 @@ def test_grid_field_beyond_the_pair_limit_is_refused(monkeypatch):
     assert f"{pairs:.3g} pairs" in message
     assert "z = 300 m" in message
     assert f"limit of {pairs - 1:.3g} pairs" in message
+
+
+def test_refused_dusty_grid_evaluates_only_the_lowest_endpoint_pair(monkeypatch):
+    # The bound's dust term comes from the lowest source and destination
+    # heights alone, so a refused grid builds no density table.
+    ls = wide_source()
+    grid = build_aperture_grid(ls, 64)
+    geom = ScenarioGeometry(D=300.0, h0=2.0, hp=2.0)
+    dust = DustModel(d_p=175e-9, C_ext=5e-14)
+    xs = np.linspace(0.0, 0.75, 5)
+    ys = np.linspace(-0.75, 0.75, 7)
+    monkeypatch.setattr(diffraction, "_DIRECT_PAIRS_MAX", grid.x.size * xs.size * ys.size - 1)
+    calls = []
+
+    def recording(dust_, h1, h2):
+        calls.append((h1, h2))
+        return phase.mean_density(dust_, h1, h2)
+
+    monkeypatch.setattr(diffraction, "mean_density", recording)
+    with pytest.raises(ResolutionError):
+        field_on_grid(grid, geom, dust, ls.wavelength, xs, ys, 300.0)
+    h_src, h_dst = ray_heights(geom, grid.y, ys, 300.0)
+    assert calls == [(np.min(h_dst), np.min(h_src))]
+    assert [np.shape(h) for pair in calls for h in pair] == [(), ()]
+
+
+def row_block_cases():
+    """(shape, grid, geometry, xs, ys, z) on the line, window and map shapes."""
+    ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
+    near = build_aperture_grid(ls, 168)
+    geom = ScenarioGeometry(D=5000.0, h0=12.0, hp=2.0)
+    yield "line", near, geom, np.array([0.0]), np.linspace(-0.75, 0.75, 601), 5000.0
+    yield "window", near, geom, np.linspace(0.0, 0.75, 41), np.linspace(-0.75, 0.75, 82), 5000.0
+    far = build_aperture_grid(ls, 64)
+    geom = ScenarioGeometry(D=20000.0, h0=2.0, hp=2.0)
+    yield "map", far, geom, np.linspace(0.0, 0.75, 65), np.linspace(-0.75, 0.75, 129), 20000.0
+
+
+@pytest.mark.parametrize("dusty", [False, True], ids=["clear", "dust"])
+def test_grid_field_bits_do_not_depend_on_the_row_block(dusty, monkeypatch):
+    dust = DustModel(d_p=175e-9, C_ext=5.257e-14) if dusty else None
+    for shape, grid, geom, xs, ys, z in row_block_cases():
+        fields = []
+        for budget in (1, 2**62):  # one destination row per block; one block
+            monkeypatch.setattr(diffraction, "_ROW_BLOCK_ELEMENTS", budget)
+            fields.append(field_on_grid(grid, geom, dust, 1064e-9, xs, ys, z).tobytes())
+        assert fields[0] == fields[1], shape
+
+
+def test_contraction_bits_do_not_depend_on_the_blas_thread_count():
+    # At k = 12000 a single OpenBLAS dot would be split across threads;
+    # _contract's fixed slices keep each dot on one thread.
+    code = (
+        "import hashlib, numpy as np\n"
+        "from moonbeam.diffraction import _contract\n"
+        "rng = np.random.default_rng(7)\n"
+        "def draw(n):\n"
+        "    return rng.standard_normal((n, 12000)) + 1j * rng.standard_normal((n, 12000))\n"
+        "left, right = draw(3), draw(4)\n"
+        "e = _contract(left, right)\n"
+        "r = _contract(left.real.copy(), right.real.copy())\n"
+        "print(hashlib.sha256(e.tobytes() + r.tobytes()).hexdigest())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(diffraction.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=120,
+        ).stdout)
+    assert len(outputs[0]) == 65
+    assert outputs[0] == outputs[1]
 
 
 #: Agreement required between field_on_grid and the direct sum on the rim

@@ -127,6 +127,25 @@ def test_mean_density_table_equals_the_per_pair_formula(rows, cols, nudges):
     assert mean_density(dm, rows[0], cols[-1]) == per_pair_mean_density(dm, rows[0], cols[-1])
 
 
+#: Destination heights with near-equal neighbours: each height h also
+#: appears as h * (1 + r) for the drawn relative offsets r.
+near_equal_offsets = st.lists(
+    st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 2e-9, 1e-7]), max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(table_heights, table_heights, near_equal_offsets)
+def test_mean_density_is_largest_at_the_lowest_endpoint_pair(rows, cols, offsets):
+    # diffraction.field_on_grid bounds every ray's mean density by the
+    # one at the lowest source and destination heights.
+    rows = rows + [rows[0] * (1.0 + r) for r in offsets] + [cols[0] * (1.0 + r) for r in offsets]
+    dm = default_dust()
+    h1, h2 = np.array(rows), np.array(cols)
+    table = mean_density(dm, h1[:, None], h2[None, :])
+    assert mean_density(dm, h1.min(), h2.min()) >= table.max()
+
+
 def test_mean_density_symmetric_in_endpoints():
     dm = default_dust()
     assert mean_density(dm, 1.0, 6.0) == mean_density(dm, 6.0, 1.0)

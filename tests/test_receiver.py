@@ -143,8 +143,9 @@ def test_shift_refinement_stops_at_the_order_ceiling(monkeypatch):
 
 
 def test_dusty_panel_power_is_identical_under_one_and_two_blas_threads():
-    # The separable propagation runs on BLAS matrix products; their
-    # reduction order must not depend on the thread count.
+    # The separable propagation runs on BLAS dots of at most 4096 terms,
+    # which OpenBLAS sums on one thread at any thread count; the power
+    # must not depend on the thread count.
     code = (
         "from moonbeam import panel_power, scenario_from_mapping\n"
         "print(repr(panel_power(scenario_from_mapping({'dust.enabled': True,"
