@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _finite(text: str) -> float:
+    """argparse type of the float flags outside the config table."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="moonbeam", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -73,19 +84,19 @@ def _build_parser() -> _Parser:
 
     p_map = sub.add_parser("map", help="irradiance map to CSV and 16-bit PGM")
     add_scenario_args(p_map)
-    p_map.add_argument("--extent", type=float,
+    p_map.add_argument("--extent", type=_finite,
                        help="map half-width [m] (default: 3 panel half-extents)")
     p_map.add_argument("--resolution", type=int, default=129, help="map grid points per axis")
 
     p_mie = sub.add_parser("mie", help="extinction/scattering cross-sections of a sphere")
-    p_mie.add_argument("--diameter", type=float, required=True, help="particle diameter [m]")
-    p_mie.add_argument("--wavelength", type=float, default=1064e-9, help="wavelength [m]")
-    p_mie.add_argument("--index", type=float, default=1.733, help="particle refractive index (real part)")
-    p_mie.add_argument("--imag-index", type=float, default=0.0, help="particle index imaginary part")
+    p_mie.add_argument("--diameter", type=_finite, required=True, help="particle diameter [m]")
+    p_mie.add_argument("--wavelength", type=_finite, default=1064e-9, help="wavelength [m]")
+    p_mie.add_argument("--index", type=_finite, default=1.733, help="particle refractive index (real part)")
+    p_mie.add_argument("--imag-index", type=_finite, default=0.0, help="particle index imaginary part")
 
     p_cal = sub.add_parser("calibrate", help="fit the dust cross-section to a reference power")
     add_scenario_args(p_cal)
-    p_cal.add_argument("--reference-power", type=float, required=True,
+    p_cal.add_argument("--reference-power", type=_finite, required=True,
                        help="received power to be matched [W]")
 
     p_val = sub.add_parser("validate", help="run the built-in oracle checks")

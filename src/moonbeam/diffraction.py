@@ -17,16 +17,16 @@ Two evaluations of that sum:
 - :func:`field_on_grid`, for a tensor grid of points on one plane.
   The interior aperture nodes lie on a lattice, and a ray's dust
   column depends only on its two endpoint heights, that is on (y0, y).
-  With the Fresnel expansion of R about z and its first-order
-  correction (1/R, the quartic phase, the column's rho^2/2z), the
-  lattice sum factorizes into a few real and complex matrix products.
-  The rim nodes factorize the same way as a diagonal node set,
-  Kx * diag(a) * Ky^T, with the transcendental factors evaluated once
-  per distinct rim coordinate. A bound on the dropped second-order
-  terms over all nodes is checked first, and the whole grid takes the
-  direct sum when it exceeds _FRESNEL_REMAINDER_MAX; a direct sum of
-  more than _DIRECT_PAIRS_MAX pairs is refused instead. Destination
-  rows are built and contracted in blocks of _ROW_BLOCK_ELEMENTS.
+  A pair's kernel exp(-j*k*(R - z) - c*nbar*R)/R splits exactly into
+  an x factor, a y factor (which carries the column and 1/R) and a
+  cross factor G of dx^2 alone near 1; with G to first order in dx^2,
+  the lattice sum factorizes into a few real and complex matrix
+  products. The rim nodes factorize the same way as a diagonal node
+  set, Kx * diag(a) * Ky^T, with the transcendental factors evaluated
+  once per distinct rim coordinate. A bound on the dropped terms of G
+  over all nodes is checked first, and a grid on which it exceeds
+  _FRESNEL_REMAINDER_MAX is refused at once. Destination rows are
+  built and contracted in blocks of _ROW_BLOCK_ELEMENTS.
 
 Both are deterministic, whatever the worker, BLAS thread or row-block
 count: the direct sum reduces in numpy's fixed order, and the separable
@@ -40,7 +40,6 @@ sizes both the shift window and the default map.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -64,35 +63,29 @@ SHIFT_WINDOW_FACTOR = 3.0
 #: them instead of round-tripping pages through the kernel.
 _BLOCK_ELEMENTS = 2_000_000
 
-#: Complex elements (1 MiB) per block of field_on_grid's destination rows.
-_ROW_BLOCK_ELEMENTS = 2**16
+#: Complex elements (512 KiB) per block of field_on_grid's destination
+#: rows. The block's real temporaries scale with it: 2**15 ran the line,
+#: window, map and panel shapes as fast as 2**16, at a lower peak memory.
+_ROW_BLOCK_ELEMENTS = 2**15
 
 #: Longest BLAS dot: OpenBLAS splits ?dot across threads from n = 10000.
 _DOT_SLICE = 4096
 
-#: Largest bound on the separable sum's dropped second-order terms,
-#: relative to each pair's magnitude, for which field_on_grid uses it.
-#: The bound is a worst case at the grid corner; the summed error is far
+#: Largest bound on the separable sum's dropped cross terms, relative
+#: to each pair's magnitude; field_on_grid refuses grids beyond it. The
+#: bound is a worst case at the grid corner; the summed error is far
 #: smaller, because the dropped terms turn with the pair phase and are
-#: largest where the beam is dark. For bounds up to 1e-5 (200 m to 1 km,
-#: half-widths 0.3 to 0.75 m) the field error measured 1e-3 to 3e-3 of
-#: the bound times max |E|: 4e-10 over the shift window at 1 km, where
-#: the bound is 7.3e-7. Shorter ranges and wider grids take the direct
-#: sum.
+#: largest where the beam is dark. Measured against the direct sum, as a
+#: fraction of the on-axis |E|: 1.3e-14 over the 5 km dust shift window,
+#: 1.0e-10 at 1 km, 2.1e-10 at 800 m, and 2.9e-10 over the 220 m clear
+#: panel.
 _FRESNEL_REMAINDER_MAX = 1e-6
-
-#: Largest direct sum, in node x point pairs, that field_on_grid runs
-#: when its grid is beyond the separable bound: about a minute at the
-#: direct kernel's 1e7 to 2e7 pairs/s. Larger sums are refused.
-_DIRECT_PAIRS_MAX = 1e9
 
 #: Rounding allowance, relative to the summed pair magnitudes, when the
 #: separable field is checked against the direct sum. Phases of up to
 #: ~1e4 rad and sums of ~1e5 terms leave rounding near 1e-12; a fault in
 #: the separable sum shows at order one.
 _ROUNDING_RTOL = 1e-9
-
-_log = logging.getLogger("moonbeam")
 
 
 def required_aperture_resolution(ls: LaserSource, z_min: float, rho_max: float) -> int:
@@ -197,28 +190,26 @@ def field_at_point(
     return complex(field_at_points(grid, geom, dust, wavelength, dst.x, dst.y, dst.z))
 
 
-def _fresnel_remainder(k: float, z: float, rho2: float, col: float) -> float:
-    """Bound on a pair's relative error in the separable sum.
+def _cross_term_bound(k: float, z: float, u: float, v: float, col: float) -> float:
+    """Bound on a pair's error in the separable kernel, relative to |X*Y|.
 
-    rho2 bounds the squared transverse offset rho^2 of the pairs and col
-    bounds |C_ext + j*k*alpha| * mean density [1/m] (0 without dust).
-    The exact factors z/R, exp(-j*k*(R - z - rho^2/2z)) and
-    exp(-c*nbar*(R - z)) are taken as 1 + a1, 1 + a2, 1 + a3 with
-    a1 = -rho^2/2z^2, a2 = j*k*rho^4/8z^3, a3 = -c*nbar*rho^2/2z, and
-    the product as 1 + a1 + a2 + a3. The three factors err by at most
-    e1 = 3rho^4/8z^4, e2 = |a2|^2/2 + k*rho^6/16z^5 and
-    e3 = |a3|^2/2 + col*rho^4/8z^3 (alternating series for rho < z;
-    Re(c) >= 0), and the dropped products by the pairwise and triple
-    products of |a_i|. The bound grows with rho2, so the corner of the
-    grid bounds every pair.
+    u and v bound dx^2 and dy^2 over the pairs, col bounds |c|*nbar
+    [1/m] (0 without dust). ln G is a power series in u; past its first
+    term, the series of -j*k*(R - R_y - R_x + z) errs by at most
+    3*k*v/16z * r^2/(1 - r) with r = u/z^2 (binomial series of R and
+    R_x, each term below 3/8 * v/2z * r^m), the column's -c*nbar*(R - R_y)
+    by col*z/8 * r^2 and -ln(R/R_y) by r^2/4. Their sum b bounds the
+    tail, and w, a bound on |l1*u| plus b, bounds |ln G|, so
+    |G - 1 - l1*u| <= w^2/2 * e^w + b. The bound grows with u and v,
+    so the corner of the grid bounds every pair; it is inf where the
+    series diverge (r >= 1) or w >= 1.
     """
-    a1 = rho2 / (2.0 * z * z)
-    a2 = k * rho2 * rho2 / (8.0 * z**3)
-    a3 = col * rho2 / (2.0 * z)
-    e1 = 3.0 * rho2 * rho2 / (8.0 * z**4)
-    e2 = 0.5 * a2 * a2 + k * rho2**3 / (16.0 * z**5)
-    e3 = 0.5 * a3 * a3 + col * rho2 * rho2 / (8.0 * z**3)
-    return e1 + e2 + (1.0 + a2) * e3 + a1 * a2 + a1 * a3 + a2 * a3 + a1 * a2 * a3
+    r = u / (z * z)
+    if r >= 1.0:
+        return math.inf
+    b = (3.0 * k * v / (16.0 * z) + col * z / 8.0 + 0.25) * r * r / (1.0 - r)
+    w = 0.5 * (k * v / (2.0 * z**3) + col / z + 1.0 / (z * z)) * u + b
+    return 0.5 * w * w * math.exp(w) + b if w < 1.0 else math.inf
 
 
 def _contract(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -242,15 +233,12 @@ def field_on_grid(
     """Complex field on the tensor grid xs x ys at the plane z [V/m].
 
     Returns E with E[i, j] the field at (xs[i], ys[j], z): the sum of
-    :func:`field_at_points` on those points. For a grid from
-    build_aperture_grid, the lattice nodes and, as a diagonal node set,
+    :func:`field_at_points` on those points, for a grid from
+    build_aperture_grid. The lattice nodes and, as a diagonal node set,
     the rim nodes are summed separably (see the module docstring), and
-    one grid point is checked against field_at_points. When the bound
-    on the separable sum's dropped terms exceeds _FRESNEL_REMAINDER_MAX,
-    or the grid has no lattice, every node is summed by field_at_points
-    and a warning on the ``moonbeam`` logger gives the pair count; a
-    direct sum of more than _DIRECT_PAIRS_MAX pairs is refused with a
-    ResolutionError before it starts.
+    one grid point is checked against field_at_points. A grid whose
+    bound on the dropped cross terms exceeds _FRESNEL_REMAINDER_MAX is
+    refused with a ResolutionError before any sum starts.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -259,43 +247,31 @@ def field_on_grid(
         raise ValidationError("destination points must lie at z > 0")
     k = 2.0 * math.pi / wavelength
 
-    bound = math.inf
-    if grid.lattice is not None:
-        cx, cy, rim_ix, rim_a, first, lattice_t, amp_sum = grid._separable
-        rho2 = (float(np.max(np.abs(xs))) + float(np.max(np.abs(cx)))) ** 2 + (
-            float(np.max(np.abs(ys))) + float(np.max(np.abs(cy)))) ** 2
-        col = 0.0
-        if dust is not None:
-            # Mean density never rises with either endpoint height.
-            h_src, h_dst = ray_heights(geom, cy, ys, z)
-            c = complex(dust.C_ext, k * dust.polarizability_volume)
-            col = abs(c) * mean_density(dust, np.min(h_dst), np.min(h_src))
-        bound = _fresnel_remainder(k, z, rho2, col)
-
+    cx, cy, rim_ix, rim_a, first, lattice_t, amp_sum = grid._separable
+    u = (float(np.max(np.abs(xs))) + float(np.max(np.abs(cx)))) ** 2
+    v = (float(np.max(np.abs(ys))) + float(np.max(np.abs(cy)))) ** 2
+    col = 0.0
+    if dust is not None:
+        # Mean density never rises with either endpoint height.
+        h_src, h_dst = ray_heights(geom, cy, ys, z)
+        c = complex(dust.C_ext, k * dust.polarizability_volume)
+        col = abs(c) * mean_density(dust, np.min(h_dst), np.min(h_src))
+    bound = _cross_term_bound(k, z, u, v, col)
     if bound > _FRESNEL_REMAINDER_MAX:
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        pairs = float(grid.x.size) * xg.size
-        if pairs > _DIRECT_PAIRS_MAX:
-            raise ResolutionError(
-                f"direct diffraction sum of {pairs:.3g} pairs at z = {z:g} m exceeds the "
-                f"limit of {_DIRECT_PAIRS_MAX:.3g} pairs (separable remainder bound "
-                f"{bound:.3g} > {_FRESNEL_REMAINDER_MAX:g})"
-            )
-        _log.warning(
-            "direct diffraction sum of %d nodes x %d points = %.3g pairs at z = %g m "
-            "(separable remainder bound %.3g > %g)",
-            grid.x.size, xg.size, pairs, z, bound, _FRESNEL_REMAINDER_MAX,
+        raise ResolutionError(
+            f"diffraction sum at z = {z:g} m refused: the separable kernel's cross-term "
+            f"bound {bound:.3g} exceeds {_FRESNEL_REMAINDER_MAX:g}; the distance is too "
+            f"short for this destination grid"
         )
-        return field_at_points(grid, geom, dust, wavelength, xg, yg, z)
 
-    # Per pair, a/z * Kx(dx) * Ky(dy) * Dust(y, y0) * (1 + beta*rho^2 +
-    # gamma*rho^4), with beta = -1/2z^2 - c*nbar/2z and gamma = jk/8z^3.
-    # Expanding rho^2 = dx^2 + dy^2 groups it by dx^0, dx^2 and dx^4;
-    # 1/lambda is applied at the end.
+    # Per pair with u = dx^2, a/lambda * X(dx) * Y(dy, y, y0) * (1 + l1*u):
+    # X = exp(-jk*u/(R_x + z)), Y = exp(-jk*dy^2/(R_y + z) - c*nbar*R_y)/R_y
+    # and l1 = (jk*dy^2/((R_y + z)*z) - c*nbar - 1/R_y) / 2R_y, with
+    # R_x = sqrt(z^2 + u) and R_y = sqrt(z^2 + dy^2). The left factors are
+    # X and X*u, the right ones Y and Y*l1; 1/lambda is applied at the end.
     dx2 = (xs[:, None] - cx[None, :]) ** 2
-    q = k / (2.0 * z)
-    kx = np.exp(-1j * q * dx2)
-    left = np.stack([kx, kx * dx2, kx * (dx2 * dx2)], axis=1)
+    kx = np.exp(-1j * k * (dx2 / (np.sqrt(z * z + dx2) + z)))
+    left = np.stack([kx, kx * dx2], axis=1)
     # The lattice is real, so its product is a real one.
     n = grid.axis.size
     lat = left[:, :, :n].reshape(-1, n)
@@ -303,33 +279,37 @@ def field_on_grid(
     # The rim nodes' left columns, scaled by their amplitudes, are summed
     # per distinct y (in a fixed order), where they meet one right column.
     rim = np.add.reduceat(np.take(left[:, :, n:], rim_ix, axis=2) * rim_a, first, axis=2)
-    la = (la[: lat.shape[0]] + 1j * la[lat.shape[0]:]).reshape(xs.size, 3, n)
+    la = (la[: lat.shape[0]] + 1j * la[lat.shape[0]:]).reshape(xs.size, 2, n)
     left = np.concatenate([la, rim], axis=2).reshape(xs.size, -1)
     # The right factors of each block of rows fill one reused buffer.
-    gamma = 1j * k / (8.0 * z**3)
-    rows = max(1, min(ys.size, _ROW_BLOCK_ELEMENTS // (3 * cy.size)))
-    buf = np.empty((rows, 3, cy.size), dtype=complex)
+    rows = max(1, min(ys.size, _ROW_BLOCK_ELEMENTS // (2 * cy.size)))
+    buf = np.empty((rows, 2, cy.size), dtype=complex)
     e = np.empty((xs.size, ys.size), dtype=complex)
     for start in range(0, ys.size, rows):
         blk = slice(start, min(start + rows, ys.size))
         dy2 = (ys[blk, None] - cy[None, :]) ** 2
-        arg, beta = -1j * q * dy2, -0.5 / (z * z)
+        ry = np.sqrt(z * z + dy2)
+        inv = 1.0 / ry
+        # Y = amp*exp(-j*phase) and l1 = (re + j*im)*inv/2, built from real parts.
+        phase = k * (dy2 / (ry + z))
+        amp, re, im = inv, -inv, phase / z
         if dust is not None:
-            cn = c * mean_density(dust, h_dst[blk, None], h_src[None, :])
-            arg, beta = arg - z * cn, beta - cn / (2.0 * z)
-        ky = np.exp(arg)
+            nbar = mean_density(dust, h_dst[blk, None], h_src[None, :])
+            amp = amp * np.exp(-c.real * (nbar * ry))
+            phase = phase + c.imag * (nbar * ry)
+            re, im = re - c.real * nbar, im - c.imag * nbar
         right = buf[: dy2.shape[0]]
-        np.multiply(ky, 1.0 + beta * dy2 + gamma * (dy2 * dy2), out=right[:, 0])
-        np.multiply(ky, beta + 2.0 * gamma * dy2, out=right[:, 1])
-        np.multiply(ky, gamma, out=right[:, 2])
+        np.multiply(amp, np.cos(phase), out=right[:, 0].real)
+        np.multiply(-amp, np.sin(phase), out=right[:, 0].imag)
+        np.multiply(right[:, 0], (re + 1j * im) * (0.5 * inv), out=right[:, 1])
         e[:, blk] = _contract(left, right.reshape(dy2.shape[0], -1))
-    e /= wavelength * z
+    e /= wavelength
     if not np.all(np.isfinite(e.view(float))):
         raise NumericalError("field accumulation produced non-finite values")
 
     # The exact sum at the grid point farthest off axis, where the bound
     # is attained, checks the bound: no pair errs by more than bound
-    # times its magnitude, and no pair's magnitude exceeds weight*e0/(lambda*z).
+    # times |a*X*Y/lambda|, which is at most weight*e0/(lambda*z).
     i, j = int(np.argmax(np.abs(xs))), int(np.argmax(np.abs(ys)))
     exact = field_at_points(grid, geom, dust, wavelength, xs[i], ys[j], z)
     scale = amp_sum / (wavelength * z)

@@ -131,6 +131,19 @@ def test_non_finite_config_number_is_a_usage_error(tmp_path, capsys, source):
     assert err.startswith("error:") and "must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["map", "--extent", "nan"],
+    ["map", "--extent", "inf"],
+    ["mie", "--diameter", "nan"],
+    ["mie", "--diameter", "1e-7", "--wavelength", "inf"],
+], ids=["extent-nan", "extent-inf", "diameter-nan", "wavelength-inf"])
+def test_non_finite_flag_outside_the_config_table_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be a finite number" in err
+
+
 def test_missing_config_file_is_io_error(capsys):
     code, _, err = run(capsys, "simulate", "--config", "/no/such/config.json")
     assert code == 3

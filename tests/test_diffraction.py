@@ -1,7 +1,6 @@
 """Tests for the element-sum diffraction engine against analytic oracles."""
 
 import cmath
-import logging
 import math
 import os
 import subprocess
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moonbeam.diffraction import (
@@ -319,10 +318,12 @@ def test_map_validation():
 
 #: Agreement required between field_on_grid and the direct sum on the
 #: same nodes, as a fraction of the beam's max |E| (over the drawn points
-#: and the beam axis). The first-order corrected Fresnel sum leaves
-#: second-order terms, bounded per pair by _FRESNEL_REMAINDER_MAX = 1e-6
-#: of its magnitude. Their sum scales with the beam, not with the local
-#: field: at a dark point alone the error can reach ~1e-8 of |E| there.
+#: and the beam axis). The separable kernel keeps the cross factor G to
+#: first order in dx^2; its dropped terms are bounded per pair by
+#: _FRESNEL_REMAINDER_MAX = 1e-6 of the pair's magnitude, and grids
+#: beyond that are refused. Their sum scales with the beam, not with the
+#: local field: at a dark point alone the error can reach ~1e-8 of |E|
+#: there.
 GRID_FIELD_RTOL = 1e-8
 
 
@@ -344,14 +345,11 @@ def grid_links(draw):
     return grid, geom, dust, ls.wavelength, np.array(draw(axis)), np.array(draw(axis))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=grid_links())
-def test_grid_field_matches_direct_sum(case, caplog):
+def test_grid_field_matches_direct_sum(case):
     grid, geom, dust, wavelength, xs, ys = case
-    caplog.clear()
     e = field_on_grid(grid, geom, dust, wavelength, xs, ys, geom.D)
-    assert not caplog.records  # the separable path ran
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     ref = field_at_points(grid, geom, dust, wavelength, xg, yg, geom.D)
     on_axis = field_at_points(grid, geom, dust, wavelength, 0.0, 0.0, geom.D)
@@ -360,46 +358,74 @@ def test_grid_field_matches_direct_sum(case, caplog):
     assert np.max(np.abs(e - ref)) <= GRID_FIELD_RTOL * scale
 
 
-@pytest.mark.parametrize("dusty", [False, True])
-def test_grid_field_beyond_the_bound_is_the_direct_sum(dusty, caplog):
-    # At 300 m the shift window's corner rays leave a remainder bound of
-    # ~1e-3, far above the separable limit.
+def count_direct_points(monkeypatch):
+    """Record the point count of every field_at_points call from diffraction."""
+    points = []
+    direct = diffraction.field_at_points
+
+    def counting(grid_, geom_, dust_, wavelength, xs, ys, zs):
+        points.append(np.broadcast(xs, ys, zs).size)
+        return direct(grid_, geom_, dust_, wavelength, xs, ys, zs)
+
+    monkeypatch.setattr(diffraction, "field_at_points", counting)
+    return points
+
+
+@pytest.mark.parametrize("dusty", [False, True], ids=["clear", "dust"])
+def test_grid_field_beyond_the_bound_is_refused_at_once(dusty, monkeypatch):
+    # At 300 m the shift window's corner rays leave a cross-term bound
+    # near 1e-3, far above the separable limit; no sum of any node runs.
     ls = wide_source()
     grid = build_aperture_grid(ls, 64)
     geom = ScenarioGeometry(D=300.0, h0=2.0, hp=2.0)
     dust = DustModel(d_p=175e-9, C_ext=5e-14) if dusty else None
-    xs = np.linspace(0.0, 0.75, 5)
-    ys = np.linspace(-0.75, 0.75, 7)
-    with caplog.at_level(logging.WARNING, logger="moonbeam"):
-        e = field_on_grid(grid, geom, dust, ls.wavelength, xs, ys, 300.0)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    assert np.array_equal(e, field_at_points(grid, geom, dust, ls.wavelength, xg, yg, 300.0))
-    [record] = caplog.records
-    assert f"{grid.x.size * 35:.3g} pairs" in record.getMessage()
-    assert "z = 300 m" in record.getMessage()
-
-
-def test_grid_field_beyond_the_pair_limit_is_refused(monkeypatch):
-    # The 300 m fallback above sums 35 points x ~3.2e3 nodes; with the
-    # limit one pair below that, the sum is refused before it starts.
-    ls = wide_source()
-    grid = build_aperture_grid(ls, 64)
-    geom = ScenarioGeometry(D=300.0, h0=2.0, hp=2.0)
-    xs = np.linspace(0.0, 0.75, 5)
-    ys = np.linspace(-0.75, 0.75, 7)
-    pairs = grid.x.size * xs.size * ys.size
-    monkeypatch.setattr(diffraction, "_DIRECT_PAIRS_MAX", pairs - 1)
-
-    def no_sum(*args):
-        raise AssertionError("the direct sum ran")
-
-    monkeypatch.setattr(diffraction, "field_at_points", no_sum)
+    points = count_direct_points(monkeypatch)
     with pytest.raises(ResolutionError) as err:
-        field_on_grid(grid, geom, None, ls.wavelength, xs, ys, 300.0)
+        field_on_grid(grid, geom, dust, ls.wavelength, np.linspace(0.0, 0.75, 5),
+                      np.linspace(-0.75, 0.75, 7), 300.0)
     message = str(err.value)
-    assert f"{pairs:.3g} pairs" in message
     assert "z = 300 m" in message
-    assert f"limit of {pairs - 1:.3g} pairs" in message
+    assert "cross-term bound" in message and "exceeds 1e-06" in message
+    assert points == []
+
+
+@pytest.mark.parametrize("D, dusty, half", [(800.0, True, 0.75), (220.0, False, 0.25)],
+                         ids=["800m-dust-window", "220m-clear-panel"])
+def test_short_range_grid_is_separable(D, dusty, half, monkeypatch):
+    # Near the kernel's floors (754 m on the shift window, 204 m on the
+    # panel) the grid is still summed separably: one corner point is
+    # summed directly, and the field matches the direct sum.
+    ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
+    grid = build_aperture_grid(ls, required_aperture_resolution(ls, D, math.hypot(half, half)))
+    geom = ScenarioGeometry(D=D, h0=2.0, hp=2.0)
+    dust = DustModel(d_p=175e-9, C_ext=5.257e-14) if dusty else None
+    xs, ys = np.linspace(0.0, half, 4), np.linspace(-half, half, 5)  # (0, 0) included
+    points = count_direct_points(monkeypatch)
+    e = field_on_grid(grid, geom, dust, ls.wavelength, xs, ys, D)
+    assert points == [1]
+    monkeypatch.undo()
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    ref = field_at_points(grid, geom, dust, ls.wavelength, xg, yg, D)
+    assert np.max(np.abs(e - ref)) <= GRID_FIELD_RTOL * np.max(np.abs(ref))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=st.floats(100.0, 1e5), u=st.floats(0.0, 2.25), v=st.floats(0.0, 2.25),
+       col=st.floats(0.0, 1e-2), angle=st.floats(0.0, math.pi / 2))
+def test_cross_term_bound_covers_the_exact_cross_factor(z, u, v, col, angle):
+    # G = K/(X*Y) in closed form, each difference of lengths without
+    # cancellation: R - R_y - R_x + z by the identity below, R - R_y as
+    # u/(R + R_y), and G - 1 from expm1 of ln G.
+    k = 2.0 * math.pi / 1064e-9
+    cn = col * cmath.exp(1j * angle)  # c*nbar: extinction and phase parts >= 0
+    rx, ry, r = math.sqrt(z * z + u), math.sqrt(z * z + v), math.sqrt(z * z + u + v)
+    excess = -v * (u / (r + ry) + u / (rx + z)) / ((r + rx) * (ry + z))
+    ln_g = -1j * k * excess - cn * u / (r + ry) - 0.5 * math.log1p(u / (ry * ry))
+    re, im = ln_g.real, ln_g.imag
+    g_minus_1 = complex(math.expm1(re) * math.cos(im) - 2.0 * math.sin(im / 2.0) ** 2,
+                        math.exp(re) * math.sin(im))
+    l1 = 0.5 * (1j * k * (v / (ry + z)) / (z * ry) - cn / ry - 1.0 / (ry * ry))
+    assert abs(g_minus_1 - l1 * u) <= diffraction._cross_term_bound(k, z, u, v, col) + 1e-15
 
 
 def test_refused_dusty_grid_evaluates_only_the_lowest_endpoint_pair(monkeypatch):
@@ -411,7 +437,6 @@ def test_refused_dusty_grid_evaluates_only_the_lowest_endpoint_pair(monkeypatch)
     dust = DustModel(d_p=175e-9, C_ext=5e-14)
     xs = np.linspace(0.0, 0.75, 5)
     ys = np.linspace(-0.75, 0.75, 7)
-    monkeypatch.setattr(diffraction, "_DIRECT_PAIRS_MAX", grid.x.size * xs.size * ys.size - 1)
     calls = []
 
     def recording(dust_, h1, h2):
@@ -478,11 +503,11 @@ def test_contraction_bits_do_not_depend_on_the_blas_thread_count():
 #: Agreement required between field_on_grid and the direct sum on the rim
 #: nodes alone, as a fraction of the rim's sum of pair magnitudes
 #: sum(weight * e0) / (lambda * z). It is ten times below the per-pair
-#: remainder limit _FRESNEL_REMAINDER_MAX. A wrong first-order term of the
-#: rim shows far above it: at the 1 km window corner the quartic phase is
-#: ~1e-3 of a pair and the dust column's rho^2/2z term a few 1e-4, against
-#: a second-order remainder below 1e-6 that also partly cancels over the
-#: ring of rim nodes.
+#: cross-term limit _FRESNEL_REMAINDER_MAX. A wrong first-order cross
+#: term of the rim shows far above it: at the 1 km window corner it is
+#: ~6e-4 of a pair (mostly the phase k*dx^2*dy^2/4z^3), against a
+#: remainder below 1e-6 that also partly cancels over the ring of rim
+#: nodes.
 RIM_FIELD_RTOL = 1e-7
 
 
@@ -499,7 +524,7 @@ def rim_only(grid):
 @pytest.mark.parametrize("line", [True, False], ids=["line", "window"])
 @pytest.mark.parametrize("dusty", [False, True], ids=["clear", "dust"])
 @pytest.mark.parametrize("D", [1000.0, 5000.0])
-def test_rim_field_matches_direct_sum(D, dusty, line, caplog):
+def test_rim_field_matches_direct_sum(D, dusty, line):
     ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
     half = 0.75  # the shift window of the default 0.5 m panel
     grid = rim_only(
@@ -509,9 +534,7 @@ def test_rim_field_matches_direct_sum(D, dusty, line, caplog):
     dust = DustModel(d_p=175e-9, C_ext=5.257e-14) if dusty else None
     xs = np.array([0.0]) if line else np.linspace(0.0, half, 6)
     ys = np.linspace(-half, half, 41 if line else 11)
-    with caplog.at_level(logging.WARNING, logger="moonbeam"):
-        e = field_on_grid(grid, geom, dust, ls.wavelength, xs, ys, D)
-    assert not caplog.records  # the separable path ran
+    e = field_on_grid(grid, geom, dust, ls.wavelength, xs, ys, D)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     ref = field_at_points(grid, geom, dust, ls.wavelength, xg, yg, D)
     scale = np.sum(grid.weight * grid.e0) / (ls.wavelength * D)
@@ -524,14 +547,7 @@ def test_separable_grid_sums_only_one_point_directly(monkeypatch):
     grid = build_aperture_grid(ls, 168)
     geom = ScenarioGeometry(D=5000.0, h0=2.0, hp=2.0)
     dust = DustModel(d_p=175e-9, C_ext=5.257e-14)
-    points = []
-    direct = diffraction.field_at_points
-
-    def counting(grid_, geom_, dust_, wavelength, xs, ys, zs):
-        points.append(np.broadcast(xs, ys, zs).size)
-        return direct(grid_, geom_, dust_, wavelength, xs, ys, zs)
-
-    monkeypatch.setattr(diffraction, "field_at_points", counting)
+    points = count_direct_points(monkeypatch)
     e = field_on_grid(
         grid, geom, dust, ls.wavelength, np.linspace(0.0, 0.75, 41), np.linspace(-0.75, 0.75, 82),
         5000.0,
