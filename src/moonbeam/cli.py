@@ -169,9 +169,12 @@ def _parse_axis(text: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"--axis range must be numeric, got {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise ValidationError(f"--axis needs STOP >= START and STEP > 0, got {text!r}")
-    return name.strip(), np.arange(start, stop + step / 2, step)
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise ValidationError(f"--axis needs finite STOP >= START and STEP > 0, got {text!r}")
+    try:
+        return name.strip(), np.arange(start, stop + step / 2, step)
+    except ValueError as exc:  # more values than an array can index
+        raise ValidationError(f"--axis range has too many values, got {text!r}") from exc
 
 
 def _write_map_files(imap, outputs, out_dir: str) -> list:

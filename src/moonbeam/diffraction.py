@@ -20,18 +20,19 @@ Two evaluations of that sum:
   A pair's kernel exp(-j*k*(R - z) - c*nbar*R)/R splits exactly into
   an x factor, a y factor (which carries the column and 1/R) and a
   cross factor G of dx^2 alone near 1; with G to first order in dx^2,
-  the lattice sum factorizes into a few real and complex matrix
-  products. The rim nodes factorize the same way as a diagonal node
-  set, Kx * diag(a) * Ky^T, with the transcendental factors evaluated
-  once per distinct rim coordinate. A bound on the dropped terms of G
-  over all nodes is checked first, and a grid on which it exceeds
+  the sum factorizes. The lattice amplitude is an outer product
+  a_i*a_j over one run of rows per column, so each column's x sum is a
+  difference of prefix sums. The rim nodes are a diagonal node set,
+  Kx * diag(a) * Ky^T, with the transcendental factors evaluated once
+  per distinct rim coordinate. A bound on the dropped terms of G over
+  all nodes is checked first, and a grid on which it exceeds
   _FRESNEL_REMAINDER_MAX is refused at once. Destination rows are
   built and contracted in blocks of _ROW_BLOCK_ELEMENTS.
 
 Both are deterministic, whatever the worker, BLAS thread or row-block
-count: the direct sum reduces in numpy's fixed order, and the separable
-products in BLAS dots of at most _DOT_SLICE terms, which OpenBLAS sums
-on one thread, with the slices added in order.
+count: the direct sum reduces in numpy's fixed order, the prefix sums
+run in sequence (cumsum), and the y products are BLAS dots of at most
+_DOT_SLICE terms, each on one OpenBLAS thread, added in order.
 
 All irradiance on the panel plane (panel power, shift window, line peak
 and maps) comes from :func:`irradiance_on_grid`. SHIFT_WINDOW_FACTOR
@@ -247,7 +248,7 @@ def field_on_grid(
         raise ValidationError("destination points must lie at z > 0")
     k = 2.0 * math.pi / wavelength
 
-    cx, cy, rim_ix, rim_a, first, lattice_t, amp_sum = grid._separable
+    cx, cy, rim_ix, rim_a, first, amp_sum = grid._separable
     u = (float(np.max(np.abs(xs))) + float(np.max(np.abs(cx)))) ** 2
     v = (float(np.max(np.abs(ys))) + float(np.max(np.abs(cy)))) ** 2
     col = 0.0
@@ -272,14 +273,15 @@ def field_on_grid(
     dx2 = (xs[:, None] - cx[None, :]) ** 2
     kx = np.exp(-1j * k * (dx2 / (np.sqrt(z * z + dx2) + z)))
     left = np.stack([kx, kx * dx2], axis=1)
-    # The lattice is real, so its product is a real one.
+    # Lattice column j sums left * amp over its rows lo_j <= i < hi_j.
     n = grid.axis.size
-    lat = left[:, :, :n].reshape(-1, n)
-    la = _contract(np.concatenate([lat.real, lat.imag]), lattice_t)
+    prefix = np.zeros((xs.size, 2, n + 1), dtype=complex)
+    np.cumsum(left[:, :, :n] * grid.amp, axis=2, out=prefix[:, :, 1:])
+    lo, hi = grid.spans
+    la = (prefix[:, :, hi] - prefix[:, :, lo]) * grid.amp
     # The rim nodes' left columns, scaled by their amplitudes, are summed
     # per distinct y (in a fixed order), where they meet one right column.
     rim = np.add.reduceat(np.take(left[:, :, n:], rim_ix, axis=2) * rim_a, first, axis=2)
-    la = (la[: lat.shape[0]] + 1j * la[lat.shape[0]:]).reshape(xs.size, 2, n)
     left = np.concatenate([la, rim], axis=2).reshape(xs.size, -1)
     # The right factors of each block of rows fill one reused buffer.
     rows = max(1, min(ys.size, _ROW_BLOCK_ELEMENTS // (2 * cy.size)))
@@ -423,8 +425,8 @@ def compute_irradiance_map(
         ex, ey = SHIFT_WINDOW_FACTOR * geom.L / 2.0, SHIFT_WINDOW_FACTOR * geom.W / 2.0
     else:
         ex = ey = float(extent)
-    if ex <= 0:
-        raise ValidationError(f"map extent must be positive, got {extent}")
+    if not 0.0 < ex < math.inf:
+        raise ValidationError(f"map extent must be positive and finite, got {extent}")
     if ex < geom.L / 2 or ey < geom.W / 2:
         raise ValidationError(
             f"map extent {extent} m does not cover the {geom.L} x {geom.W} m panel"

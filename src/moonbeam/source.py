@@ -9,8 +9,8 @@ masked by the disk; cells straddling the rim are weighted by their
 overlap area with the disk (counted on 32 x 32 subcells) and their
 node is moved to the overlap centroid, which keeps every node strictly
 inside the aperture. The full interior cells keep their lattice
-positions, and the grid records them as a matrix on the cell-centre
-axis, which the separable propagation kernel sums by matrix products.
+positions, recorded per axis as a Gaussian amplitude and one run of
+interior rows per column, which the separable kernel sums by prefix sums.
 """
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ class ApertureGrid:
         Cell-centre coordinates [m] of the lattice rows and columns
         that hold full interior cells, for grids from
         build_aperture_grid; None for node sets built by hand.
-    lattice : ndarray or None
-        weight * e0 [V m] of the full interior cells, with cell (i, j)
-        centred at (axis[i], axis[j]); zero at rim and outside cells.
+    amp, spans : ndarray or None
+        Cell (i, j), centred at (axis[i], axis[j]), is a full interior
+        cell when spans[0, j] <= i < spans[1, j]; its weight * e0 [V m]
+        is amp[i] * amp[j] to rounding.
     lattice_nodes : int
         The first lattice_nodes nodes are those interior cells; the
         remaining nodes are the rim cells.
@@ -130,11 +131,12 @@ class ApertureGrid:
     e0: np.ndarray
     resolution: int
     axis: np.ndarray | None = None
-    lattice: np.ndarray | None = None
+    amp: np.ndarray | None = None
+    spans: np.ndarray | None = None
     lattice_nodes: int = 0
 
     def __post_init__(self):
-        for arr in (self.x, self.y, self.weight, self.e0, self.axis, self.lattice):
+        for arr in (self.x, self.y, self.weight, self.e0, self.axis, self.amp, self.spans):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -144,7 +146,7 @@ class ApertureGrid:
     @functools.cached_property
     def _separable(self):
         """field_on_grid's constants: per axis the lattice axis, then the rim's distinct values;
-        the rim's x columns, weight*e0 and y-group starts in y order; lattice.T; sum|weight*e0|."""
+        the rim's x columns, weight*e0 and y-group starts in y order; sum|weight*e0|."""
         rim = slice(self.lattice_nodes, None)
         rim_x, rim_ix = np.unique(self.x[rim], return_inverse=True)
         rim_y, rim_iy = np.unique(self.y[rim], return_inverse=True)
@@ -153,7 +155,7 @@ class ApertureGrid:
             np.concatenate([self.axis, rim_x]), np.concatenate([self.axis, rim_y]),
             rim_ix[by_y], (self.weight[rim] * self.e0[rim])[by_y],
             np.searchsorted(rim_iy[by_y], np.arange(rim_y.size)),
-            np.ascontiguousarray(self.lattice.T), float(np.sum(np.abs(self.weight * self.e0))),
+            float(np.sum(np.abs(self.weight * self.e0))),
         )
 
     def discrete_power(self, eta: float) -> float:
@@ -176,9 +178,7 @@ def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
     ra = ls.r_a
     cell = 2.0 * ra / res
     centers = (np.arange(res) + 0.5) * cell - ra
-    cx, cy = np.meshgrid(centers, centers, indexing="ij")
-    cx = cx.ravel()
-    cy = cy.ravel()
+    cx, cy = (a.ravel() for a in np.meshgrid(centers, centers, indexing="ij"))
 
     # Classify cells by their nearest/farthest corner distance to the rim.
     half = 0.5 * cell
@@ -189,47 +189,35 @@ def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
     outside = near2 >= ra**2
     rim = ~inside & ~outside
 
-    xs = [cx[inside]]
-    ys = [cy[inside]]
-    ws = [np.full(int(np.count_nonzero(inside)), cell * cell)]
-
-    if np.any(rim):
-        rx, ry = cx[rim], cy[rim]
-        sub = _RIM_SUBDIV
-        off = ((np.arange(sub) + 0.5) / sub - 0.5) * cell
-        # Subcell (a, b) of rim cell n is centred at (sx[n, a], sy[n, b]).
-        sx = rx[:, None] + off[None, :]
-        sy = ry[:, None] + off[None, :]
-        hit = (sx * sx)[:, :, None] + (sy * sy)[:, None, :] < ra**2
-        per_x = hit.sum(axis=2)
-        counts = per_x.sum(axis=1)
-        keep = counts > 0
-        sub_area = (cell / sub) ** 2
-        weights = counts[keep] * sub_area
-        # Overlap centroid: mean of covered subcell centers, summed per
-        # axis. The disk is convex, so the centroid lies strictly inside it.
-        cxs = (sx * per_x).sum(axis=1)[keep] / counts[keep]
-        cys = (sy * hit.sum(axis=1)).sum(axis=1)[keep] / counts[keep]
-        xs.append(cxs)
-        ys.append(cys)
-        ws.append(weights)
-
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    w = np.concatenate(ws)
+    sub = _RIM_SUBDIV
+    off = ((np.arange(sub) + 0.5) / sub - 0.5) * cell
+    # Subcell (a, b) of rim cell n is centred at (sx[n, a], sy[n, b]).
+    sx = cx[rim][:, None] + off[None, :]
+    sy = cy[rim][:, None] + off[None, :]
+    hit = (sx * sx)[:, :, None] + (sy * sy)[:, None, :] < ra**2
+    per_x = hit.sum(axis=2)
+    counts = per_x.sum(axis=1)
+    keep = counts > 0
+    # Overlap centroid: mean of covered subcell centers, summed per
+    # axis. The disk is convex, so the centroid lies strictly inside it.
+    x = np.concatenate([cx[inside], (sx * per_x).sum(axis=1)[keep] / counts[keep]])
+    y = np.concatenate([cy[inside], (sy * hit.sum(axis=1)).sum(axis=1)[keep] / counts[keep]])
+    n_inside = int(np.count_nonzero(inside))
+    w = np.concatenate([np.full(n_inside, cell * cell), counts[keep] * (cell / sub) ** 2])
     e0 = np.asarray(aperture_field(ls, x, y))
 
-    # Interior cells in lattice form, trimmed to the rows and columns
-    # that hold any (the disk is symmetric, so both axes keep the same
-    # index range): every lattice row then carries a node.
-    n_inside = int(np.count_nonzero(inside))
-    lattice = np.zeros(res * res)
-    lattice[inside] = w[:n_inside] * e0[:n_inside]
-    used = np.flatnonzero(inside.reshape(res, res).any(axis=1))
+    # Interior cells per axis, trimmed to the rows and columns that hold
+    # any (far2 is symmetric in x and y). far2 is monotone in |x| under
+    # rounding, so the interior rows of each column form one run.
+    mask = inside.reshape(res, res)
+    used = np.flatnonzero(mask.any(axis=1))
     keep = slice(used[0], used[-1] + 1)
+    mask, axis = mask[keep, keep], centers[keep]
+    lo = np.argmax(mask, axis=0)
     grid = ApertureGrid(
-        x=x, y=y, weight=w, e0=e0, resolution=res,
-        axis=centers[keep], lattice=lattice.reshape(res, res)[keep, keep],
+        x=x, y=y, weight=w, e0=e0, resolution=res, axis=axis,
+        amp=cell * math.sqrt(ls.peak_amplitude) * np.exp(-axis * axis / ls.w0**2),
+        spans=np.stack([lo, lo + np.count_nonzero(mask, axis=0)]),
         lattice_nodes=n_inside,
     )
 

@@ -258,7 +258,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         for idx in np.ndindex(*(len(g) for g in grids))
     ]
     if n_workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(cells))) as pool:
             evaluated = list(pool.map(_evaluate_cell, cells))
     else:
         evaluated = [_evaluate_cell(cell) for cell in cells]

@@ -296,6 +296,23 @@ def test_sweep_axis_syntax_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("axis", ["D=1000:nan:1000", "D=1000:inf:1000", "D=nan:2000:1000",
+                                  "D=1000:2000:inf"])
+def test_sweep_axis_must_be_finite(capsys, axis):
+    code, out, err = run(capsys, "sweep", "--kind", "distance", "--axis", axis)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_sweep_axis_with_more_values_than_an_array_holds(capsys):
+    # numpy refuses the length before allocating anything.
+    code, out, err = run(capsys, "sweep", "--kind", "distance", "--axis", "D=0:1e300:1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "too many values" in err
+
+
 def test_sweep_needing_cext_without_source(capsys):
     code, _, err = run(capsys, "sweep", "--kind", "particle_size")
     assert code == 1

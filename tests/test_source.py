@@ -120,15 +120,28 @@ def test_grid_arrays_are_read_only():
         grid.x[0] = 1.0
 
 
-def test_lattice_holds_the_interior_nodes():
-    grid = build_aperture_grid(default_source(), 40)
+#: Agreement of the lattice's outer product amp[i] * amp[j] with the
+#: nodes' weight * e0, in units of eps * |weight * e0|. The two round
+#: exp(-(x^2 + y^2)/w0^2) differently, as one exponential or as a
+#: product of two, so they cannot agree exactly.
+OUTER_PRODUCT_ULPS = 4
+
+
+@pytest.mark.parametrize("res", [40, 68, 70, 74])
+def test_spans_hold_the_interior_nodes(res):
+    # At 68, 70 and 74 the interior mask is not mirror-symmetric in
+    # floating point; each column's interior rows are still one run.
+    grid = build_aperture_grid(default_source(), res)
+    lo, hi = grid.spans
+    rows = np.arange(grid.axis.size)[:, None]
+    i, j = np.nonzero((lo <= rows) & (rows < hi))
     n = grid.lattice_nodes
-    i = np.searchsorted(grid.axis, grid.x[:n])
-    j = np.searchsorted(grid.axis, grid.y[:n])
+    assert i.size == n
     assert np.array_equal(grid.axis[i], grid.x[:n]) and np.array_equal(grid.axis[j], grid.y[:n])
-    assert np.array_equal(grid.lattice[i, j], grid.weight[:n] * grid.e0[:n])
-    assert np.count_nonzero(grid.lattice) == n
-    assert grid.lattice.shape == (grid.axis.size, grid.axis.size)
+    we = grid.weight[:n] * grid.e0[:n]
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(grid.amp[i] * grid.amp[j] - we) <= OUTER_PRODUCT_ULPS * eps * we)
+    assert grid.amp.shape == grid.axis.shape and grid.spans.shape == (2, grid.axis.size)
 
 
 def subcell_rim_cells(ls, res):

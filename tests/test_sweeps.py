@@ -8,6 +8,7 @@ import pytest
 
 from moonbeam.dust import mie_extinction_cross_section
 from moonbeam.errors import ConvergenceError, NumericalError, ValidationError
+from moonbeam import sweeps
 from moonbeam.mapio import write_table_csv
 from moonbeam.phase import column_density
 from moonbeam.receiver import RESULT_COLUMNS, panel_power
@@ -213,6 +214,36 @@ def test_run_sweep_worker_counts_agree_byte_for_byte(tmp_path):
     write_table_csv(p1, serial.columns, serial.rows)
     write_table_csv(p2, parallel.columns, parallel.rows)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    # A fork pool starts all max_workers processes at once; this in-process
+    # stand-in records the count and starts none.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InProcessPool)
+    spec = SweepSpec(
+        kind="distance",
+        base=scen(**{"numerics.aperture_resolution": 64}),
+        axes={"D": [5000.0, 20000.0, 50000.0]},
+    )
+    result = run_sweep(spec, workers=5000)
+    assert started == [3]
+    assert result.provenance["workers"] == 5000
+    assert result.rows == run_sweep(spec, workers=1).rows
 
 
 def test_run_sweep_irradiance_maps_kind():
