@@ -33,7 +33,8 @@ from .geometry import PathPoint, ScenarioGeometry
 from .mapio import format_value, write_map_csv, write_map_pgm, write_table_csv
 from .phase import cumulative_phase, cumulative_phase_quadrature
 from .receiver import RESULT_COLUMNS, panel_power, result_row
-from .scenario import CONFIG_KEYS, Scenario, mapping_from_text, resolve_cext, scenario_from_mapping
+from .scenario import (CONFIG_KEYS, MAX_PARTICLE_DIAMETER, Scenario, mapping_from_text,
+                       resolve_cext, scenario_from_mapping)
 from .source import LaserSource, build_aperture_grid
 from .sweeps import SWEEP_KINDS, SweepSpec, run_sweep
 
@@ -229,6 +230,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_mie(args) -> int:
+    if args.diameter > MAX_PARTICLE_DIAMETER:  # the series grows with the size parameter
+        raise ValidationError(f"--diameter exceeds the {MAX_PARTICLE_DIAMETER} m model limit")
     m = complex(args.index, args.imag_index)
     c_ext, c_sca, x = mie_cross_sections(args.diameter, args.wavelength, m)
     print("d_p,wavelength,size_parameter,C_ext_m2,C_sca_m2")

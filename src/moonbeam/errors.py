@@ -40,7 +40,7 @@ class NumericalError(BeamError, RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """Refinement reached its ceiling without meeting the tolerance.
+    """Refinement spent its schedule without meeting the tolerance.
 
     Attributes
     ----------

@@ -1,11 +1,12 @@
 """Received power, efficiency, and beam-center-shift metrics.
 
 Panel power is a tensor Gauss-Legendre quadrature of the irradiance
-over the panel rectangle, with the order raised 1.5x until two
-successive values agree to ``numerics.target_rel`` (0.1% by default).
-Quadrature nodes are evaluated directly through the diffraction
-engine (on their tensor grid), never interpolated from a map, so steep
-beam edges cannot leak interpolation error into the power.
+over the panel rectangle, its order raised along _ORDERS from the
+panel's fringe count until two successive values agree to
+``numerics.target_rel`` (0.1% by default). Quadrature nodes are
+evaluated directly through the diffraction engine (on their tensor
+grid), never interpolated from a map, so steep beam edges cannot leak
+interpolation error into the power.
 
 The beam-center shift is reported with two metrics: the canonical
 shift_y is the irradiance-weighted centroid over an analysis window of
@@ -18,7 +19,6 @@ beam center moves upward.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +34,9 @@ from .diffraction import (  # noqa: F401
 from .errors import ConvergenceError, DegenerateMapError
 from .source import build_aperture_grid
 
-_ORDER_START = 16
-_ORDER_CEILING = 1024
+#: Gauss-Legendre orders of every quadrature refinement: 16 raised 1.5x,
+#: rounded up to even (as sound a check as doubling, at half the cost).
+_ORDERS = (16, 24, 36, 54, 82, 124, 186, 280, 420, 630, 946)
 _SHIFT_ATOL = 1e-5  # [m]
 
 
@@ -113,8 +114,8 @@ def _gauss_nodes(half_x: float, half_y: float, order: int):
     The irradiance is exactly even in x (mirror-symmetric aperture,
     heights independent of x), so only the x >= 0 half of the grid is
     returned, with doubled x-weights. Requires an even order. Returns
-    (order/2, order) arrays x, y and weight; x[:, 0] and y[0] are the
-    axes.
+    the x axis (order/2 nodes), the y axis (order nodes) and their
+    (order/2, order) weight matrix.
     """
     if order % 2:
         raise ValueError(f"quadrature order must be even, got {order}")
@@ -124,17 +125,14 @@ def _gauss_nodes(half_x: float, half_y: float, order: int):
     wx = 2.0 * w[half:] * half_x
     ys = t * half_y
     wy = w * half_y
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    return xg, yg, np.outer(wx, wy)
+    return xs, ys, np.outer(wx, wy)
 
 
 def _window_integrals(grid, scenario, half_x, half_y, order):
-    """(integral of I, integral of y*I) over the window, plus totals."""
-    xg, yg, wg = _gauss_nodes(half_x, half_y, order)
-    irr = irradiance_on_grid(scenario, grid, xg[:, 0], yg[0])
-    total = float(np.sum(wg * irr))
-    first_moment = float(np.sum(wg * irr * yg))
-    return total, first_moment
+    """(integral of I, integral of y*I) over the window."""
+    xs, ys, wg = _gauss_nodes(half_x, half_y, order)
+    irr = irradiance_on_grid(scenario, grid, xs, ys)
+    return float(np.sum(wg * irr)), float(np.sum(wg * irr * ys))
 
 
 def _line_peak(grid, scenario, half_y: float) -> float:
@@ -160,38 +158,36 @@ def _line_peak(grid, scenario, half_y: float) -> float:
     return float(fine[j])
 
 
-def _refine(evaluate, order: int, rtol: float, atol: float = 0.0,
-            what: str = "panel power quadrature", step=lambda n: 2 * math.ceil(0.75 * n),
-            ceiling: int | None = None):
-    """Raise the quadrature order until two successive values agree.
+def _orders(scenario, half_x: float, half_y: float, floor: int = _ORDERS[0]):
+    """The tail of _ORDERS from its first order at or above ``floor`` and
+    the window's near-field fringe count 2*r_a*max(L, W)/(lambda*D), or its
+    last order alone: two orders below that count can agree by chance."""
+    laser = scenario.laser
+    fringes = 4.0 * laser.r_a * max(half_x, half_y) / (laser.wavelength * scenario.geometry.D)
+    return _ORDERS[min(int(np.searchsorted(_ORDERS, max(floor, fringes))), len(_ORDERS) - 1):]
 
-    Evaluates at ``order``, then steps it (by default 1.5x, rounded
-    even) while it stays within the ceiling (by default _ORDER_CEILING,
-    read at call time): Gauss-Legendre error falls steeply enough with
-    order that 1.5x is as sound a stabilization check as doubling, at
-    half the quadratic cost. Values
-    a, b agree when |a - b| <= max(rtol * max(|a|, |b|), atol); NaN
-    never agrees. Returns the refinement history [(order, value), ...],
-    whose last entry is the accepted value, and the relative change
+
+def _refine(evaluate, schedule, rtol: float, atol: float = 0.0,
+            what: str = "panel power quadrature"):
+    """Walk a schedule of settings until two successive values agree.
+
+    Values a, b agree when |a - b| <= max(rtol * max(|a|, |b|), atol);
+    NaN never agrees. Returns the history [(setting, value), ...], whose
+    last entry is the accepted value, and the relative change
     |a - b| / max(|a|, |b|) (0 for a = b = 0) at that step. Raises
-    ConvergenceError with the history once the next order would pass
-    the ceiling. sweeps.converge runs its aperture-resolution doublings
-    through the same loop, with its own step and ceiling.
+    ConvergenceError with the history once the schedule is spent.
     """
-    if ceiling is None:
-        ceiling = _ORDER_CEILING
     history = []
-    while order <= ceiling:
-        value = evaluate(order)
-        history.append((order, value))
+    for setting in schedule:
+        value = evaluate(setting)
+        history.append((setting, value))
         if len(history) > 1:
             prev = history[-2][1]
             change, scale = abs(value - prev), max(abs(value), abs(prev))
             if change <= max(rtol * scale, atol):
                 return history, change / scale if scale > 0.0 else 0.0
-        order = step(order)
     raise ConvergenceError(
-        f"{what} did not stabilize to {rtol:g} by {ceiling}; last iterates {history[-2:]}",
+        f"{what} did not stabilize to {rtol:g} by {setting}; last iterates {history[-2:]}",
         history=history,
     )
 
@@ -205,8 +201,8 @@ def _panel_grid(scenario):
 
 def _panel_power(scenario, grid, order: int | None = None):
     """Panel power on a grid as (_refine history, change), for panel_power
-    and calibrate_cext: refined from _ORDER_START to numerics.target_rel,
-    or evaluated once at a held order."""
+    and calibrate_cext: refined along _ORDERS to numerics.target_rel, or
+    evaluated once at a held order."""
     half_l, half_w = scenario.geometry.L / 2.0, scenario.geometry.W / 2.0
 
     def power(n: int) -> float:
@@ -214,21 +210,21 @@ def _panel_power(scenario, grid, order: int | None = None):
 
     if order is not None:
         return [(order, power(order))], 0.0
-    return _refine(power, _ORDER_START, scenario.numerics.target_rel)
+    return _refine(power, _orders(scenario, half_l, half_w), scenario.numerics.target_rel)
 
 
 def panel_power(scenario, with_shift: bool = True) -> PanelResult:
     """Received power and shift metrics for one scenario.
 
-    Raises the quadrature order 1.5x until two successive powers agree
-    to ``numerics.target_rel``; with dust on, the shift window is then
-    refined the same way, from the power's final order, until the
-    centroid stabilizes (to target_rel relative or _SHIFT_ATOL). Raises
-    ConvergenceError with the refinement history if the order ceiling
-    is reached. The aperture resolution comes from the scenario
-    numerics or the sampling rule (applied separately to the panel and
-    the wider shift window, whose corners sit at different transverse
-    offsets).
+    Raises the quadrature order along _ORDERS, from the panel's fringe
+    count, until two successive powers agree to ``numerics.target_rel``;
+    with dust on, the shift window is then refined the same way, from
+    its own fringe count or the power's final order, until the centroid
+    stabilizes (to target_rel relative or _SHIFT_ATOL). Raises
+    ConvergenceError with the history once _ORDERS is spent. The
+    aperture resolution comes from the scenario numerics or the sampling
+    rule (applied separately to the panel and the wider shift window,
+    whose corners sit at different transverse offsets).
 
     with_shift False skips the shift metrics (0 in the result); the
     dust-free shift is identically zero by symmetry and never computed.
@@ -252,7 +248,8 @@ def panel_power(scenario, with_shift: bool = True) -> PanelResult:
             wtot, wmom = _window_integrals(win_grid, scenario, win_x, win_y, order)
             return wmom / wtot if wtot > 0.0 else float("nan")
 
-        shift = _refine(centroid, order, rtol, _SHIFT_ATOL, "beam-shift quadrature")[0][-1][1]
+        orders = _orders(scenario, win_x, win_y, order)
+        shift = _refine(centroid, orders, rtol, _SHIFT_ATOL, "beam-shift quadrature")[0][-1][1]
         peak = _line_peak(win_grid, scenario, win_y)
 
     return PanelResult(

@@ -166,10 +166,8 @@ def converge(scenario: Scenario, target_rel: float) -> ConvergedNumerics:
         )
         return panel_power(trial, with_shift=False).power
 
-    history, rel = _refine(
-        power_at, start, target_rel, what="aperture refinement", step=lambda res: 2 * res,
-        ceiling=start * 2**scenario.numerics.max_refinements,
-    )
+    schedule = [start * 2**i for i in range(scenario.numerics.max_refinements + 1)]
+    history, rel = _refine(power_at, schedule, target_rel, what="aperture refinement")
     res, power = history[-1]
     return ConvergedNumerics(aperture_resolution=res, power=power, final_rel=rel, history=history)
 

@@ -194,6 +194,15 @@ def test_mie_command(capsys):
     assert x == pytest.approx(ref_x, rel=1e-9)
 
 
+def test_mie_diameter_above_the_dust_model_limit_is_a_usage_error(capsys):
+    # The series length and memory grow with the size parameter, without
+    # bound; the dust config refuses the same diameters.
+    code, out, err = run(capsys, "mie", "--diameter", "1e-3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "1e-05 m model limit" in err
+
+
 def test_calibrate_round_trip(capsys):
     code, out, _ = run(
         capsys, "calibrate", "--reference-power", "800",

@@ -11,7 +11,12 @@ import pytest
 
 import moonbeam
 from moonbeam import receiver
-from moonbeam.diffraction import IrradianceMap, gaussian_beam_radius
+from moonbeam.diffraction import (
+    SHIFT_WINDOW_FACTOR,
+    IrradianceMap,
+    gaussian_beam_radius,
+    window_aperture_resolution,
+)
 from moonbeam.errors import ConvergenceError, DegenerateMapError
 from moonbeam.receiver import (
     RESULT_COLUMNS,
@@ -19,8 +24,10 @@ from moonbeam.receiver import (
     panel_power,
     result_row,
     _gauss_nodes,
+    _refine,
 )
 from moonbeam.scenario import scenario_from_mapping
+from moonbeam.source import build_aperture_grid
 
 # Engine regression values, frozen from converged runs of this
 # implementation (deterministic: fixed node order, pairwise sums).
@@ -38,9 +45,9 @@ def scen(**cfg):
 
 
 def test_gauss_nodes_cover_rectangle_exactly():
-    xg, yg, wg = _gauss_nodes(0.25, 0.4, 16)
-    assert xg.size == 8 * 16  # x>=0 half-grid times full y
-    assert np.all(xg > 0.0)
+    xs, ys, wg = _gauss_nodes(0.25, 0.4, 16)
+    assert xs.size * ys.size == 8 * 16  # x>=0 half-grid times full y
+    assert np.all(xs > 0.0)
     assert float(np.sum(wg)) == pytest.approx(0.5 * 0.8, rel=1e-13)
 
 
@@ -52,8 +59,8 @@ def test_gauss_nodes_require_even_order():
 def test_gauss_nodes_integrate_even_polynomial():
     # integral of x^2*y^4 over [-a,a]x[-b,b] = (2a^3/3)*(2b^5/5)
     a, b = 0.3, 0.2
-    xg, yg, wg = _gauss_nodes(a, b, 8)
-    est = float(np.sum(wg * xg**2 * yg**4))
+    xs, ys, wg = _gauss_nodes(a, b, 8)
+    est = float(np.sum(wg * xs[:, None] ** 2 * ys**4))
     exact = (2.0 * a**3 / 3.0) * (2.0 * b**5 / 5.0)
     assert est == pytest.approx(exact, rel=1e-12)
 
@@ -120,8 +127,8 @@ def test_target_rel_sets_the_panel_refinement_tolerance():
 
 def test_shift_refinement_stops_at_the_order_ceiling(monkeypatch):
     # Dusty 5 km with 64 cells: the power settles at order 36 and the
-    # shift window then needs orders 36, 54 and 82. With the ceiling at
-    # 60 the step to 82 is out of range, so the loop gives up unevaluated.
+    # shift window then needs orders 36, 54 and 82. With the orders
+    # ending at 54 the loop gives up without evaluating 82.
     orders = []
     integrals = receiver._window_integrals
 
@@ -130,7 +137,7 @@ def test_shift_refinement_stops_at_the_order_ceiling(monkeypatch):
         return integrals(grid, scenario, half_x, half_y, order)
 
     monkeypatch.setattr(receiver, "_window_integrals", record)
-    monkeypatch.setattr(receiver, "_ORDER_CEILING", 60)
+    monkeypatch.setattr(receiver, "_ORDERS", (16, 24, 36, 54))
     with pytest.raises(ConvergenceError, match="beam-shift") as err:
         panel_power(scen(**{
             "dust.enabled": True,
@@ -140,6 +147,40 @@ def test_shift_refinement_stops_at_the_order_ceiling(monkeypatch):
         }))
     assert max(orders) <= 60
     assert [order for order, _ in err.value.history] == [36, 54]
+
+
+def test_refine_reports_a_spent_schedule():
+    values = {10: 1.0, 20: 2.0, 40: 3.0}
+    with pytest.raises(ConvergenceError, match="aperture refinement did not stabilize to "
+                       "0.001 by 40") as err:
+        _refine(values.get, [10, 20, 40], 1e-3, what="aperture refinement")
+    assert err.value.history == [(10, 1.0), (20, 2.0), (40, 3.0)]
+
+
+@pytest.mark.parametrize("D", [1200.0, 1225.0, 500.0, 250.0])
+def test_short_range_power_matches_a_fixed_high_order(D):
+    # The hard aperture edge puts 2*r_a*L/(lambda*D) near-field fringes
+    # across the panel (39 at 1200 m, 188 at 250 m). Two orders below
+    # that count agreed by chance, up to 2.5% off at 1225 m.
+    s = scen(**{"geometry.D": D})
+    fixed = receiver._panel_power(s, receiver._panel_grid(s), 420)[0][-1][1]
+    assert panel_power(s).power == pytest.approx(fixed, rel=s.numerics.target_rel)
+
+
+def test_short_range_shift_matches_a_fixed_high_order():
+    # At 1 km the shift (12.5 um) is about _SHIFT_ATOL, so the absolute
+    # rule alone once accepted a value 0.7% off; starting at the
+    # window's fringe count holds it to target_rel.
+    s = scen(**{
+        "geometry.D": 1000.0,
+        "dust.enabled": True,
+        "dust.cext_source": "explicit",
+        "dust.cext": 5.2571e-14,
+    })
+    half = SHIFT_WINDOW_FACTOR * 0.25
+    grid = build_aperture_grid(s.laser, window_aperture_resolution(s, half, half))
+    total, moment = receiver._window_integrals(grid, s, half, half, 420)
+    assert panel_power(s).shift_y == pytest.approx(moment / total, rel=s.numerics.target_rel)
 
 
 def test_dusty_panel_power_is_identical_under_one_and_two_blas_threads():
