@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError, NumericalError
 
+#: Largest Mie size parameter accepted: the series needs ~x terms (10 um at 1064 nm: 29.5).
+_MAX_SIZE_PARAMETER = 1e4
+
 
 @dataclass(frozen=True)
 class DustModel:
@@ -135,6 +138,9 @@ def mie_cross_sections(d_p: float, wavelength: float, m_p, n_terms: int | None =
     if d_p <= 0 or wavelength <= 0:
         raise DomainError("Mie cross-sections need positive d_p and wavelength")
     x = math.pi * d_p / wavelength
+    if x > _MAX_SIZE_PARAMETER:
+        raise DomainError(f"Mie size parameter {x:.3g} exceeds the {_MAX_SIZE_PARAMETER:g} "
+                          "limit; the series needs about that many terms")
     m = complex(m_p)
     if m.real <= 0 or m.imag < 0:
         raise DomainError(f"particle index must have Re > 0 and Im >= 0, got {m}")

@@ -30,6 +30,9 @@ _RIM_SUBDIV = 32
 #: Relative tolerance on the discrete-power check of a fresh grid.
 _POWER_RTOL = 5e-3
 
+#: Most cells per axis built: eight float64 arrays of res^2 cells, 1 GiB.
+_MAX_RESOLUTION = 4096
+
 
 @dataclass(frozen=True)
 class LaserSource:
@@ -169,12 +172,15 @@ def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
     Interior cells are midpoint cells with full area; rim cells get
     their overlap area with the disk, counted on a (rim, sub, sub) mask
     of subcells built from per-axis squares, and a node at the overlap
-    centroid. Raises if the discrete power misses P0 by more than 0.5%,
-    which flags a resolution too coarse for the waist.
+    centroid. Raises ResolutionError above _MAX_RESOLUTION cells per axis, or
+    if the discrete power misses P0 by over 0.5% (too coarse for the waist).
     """
     if resolution < 8:
         raise ValidationError(f"aperture resolution must be >= 8, got {resolution}")
     res = int(resolution)
+    if res > _MAX_RESOLUTION:
+        raise ResolutionError(f"aperture resolution {res} exceeds the {_MAX_RESOLUTION}-cell "
+                              f"limit; its build would need {64 * res * res / 2**30:.3g} GiB")
     ra = ls.r_a
     cell = 2.0 * ra / res
     centers = (np.arange(res) + 0.5) * cell - ra

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,25 @@ def test_mie_diameter_above_the_dust_model_limit_is_a_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "1e-05 m model limit" in err
+
+
+def test_mie_size_parameter_above_its_limit_is_refused_at_once(capsys):
+    # x = pi*d/lambda = 3.1e8 would need a series of 3e8 terms.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "mie", "--diameter", "1e-5", "--wavelength", "1e-13")
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "size parameter" in err
+
+
+def test_aperture_grid_above_the_cell_cap_is_refused_at_once(capsys):
+    # The sampling rule asks for 6.5e7 cells per axis at a 1 pm wavelength.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--distance", "5000",
+                         "--set", "laser.wavelength=1e-12")
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "4096-cell limit" in err
 
 
 def test_calibrate_round_trip(capsys):

@@ -498,6 +498,22 @@ def test_grid_field_bits_do_not_depend_on_the_row_block(dusty, monkeypatch):
         assert fields[0] == fields[1], shape
 
 
+@pytest.mark.parametrize("dusty", [False, True], ids=["clear", "dust"])
+@pytest.mark.parametrize("D", [5000.0, 50000.0], ids=["5km", "50km"])
+def test_grid_field_bits_do_not_depend_on_the_other_points_of_the_call(dusty, D):
+    # receiver._line_peak scans the centre line in several calls and
+    # relies on each point getting the bits of the full 601-point call.
+    ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
+    grid = build_aperture_grid(ls, required_aperture_resolution(ls, D, math.hypot(0.75, 0.75)))
+    geom = ScenarioGeometry(D=D, h0=12.0, hp=2.0)
+    dust = DustModel(d_p=175e-9, C_ext=5.257e-14) if dusty else None
+    ys = np.linspace(-0.75, 0.75, 601)
+    full = field_on_grid(grid, geom, dust, 1064e-9, [0.0], ys, D)
+    for subset in (np.arange(0, 601, 7), np.array([3, 4, 150, 298, 301, 557, 600]), [300]):
+        part = field_on_grid(grid, geom, dust, 1064e-9, [0.0], ys[subset], D)
+        assert part.tobytes() == full[:, subset].tobytes()
+
+
 def test_contraction_bits_do_not_depend_on_the_blas_thread_count():
     # At k = 12000 a single OpenBLAS dot would be split across threads;
     # _contract's fixed slices keep each dot on one thread.

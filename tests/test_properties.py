@@ -3,20 +3,27 @@
 Each property is drawn over links of 10 to 50 km, with the aperture
 fixed at 64 cells per axis so that every example stays cheap, except
 the quadrature bound, drawn in whole metres over the supported 0.21 to
-50 km on the sampling rule's aperture.
+50 km on the sampling rule's aperture, and the center-line peak, drawn
+over 0.8 to 50 km on the shift window's sampling-rule aperture.
 """
 
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moonbeam import receiver
-from moonbeam.diffraction import compute_irradiance_map
+from moonbeam.diffraction import (
+    SHIFT_WINDOW_FACTOR,
+    compute_irradiance_map,
+    irradiance_on_grid,
+    window_aperture_resolution,
+)
 from moonbeam.dust import calibrate_cext
 from moonbeam.receiver import panel_power
 from moonbeam.scenario import scenario_from_mapping
+from moonbeam.source import build_aperture_grid
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
 
@@ -99,3 +106,43 @@ def test_fitted_cext_falls_as_the_reference_rises(D, a, b):
     p_zero = panel_power(clear, with_shift=False).power
     low, high = sorted((a, b))
     assert calibrate_cext(s, low * p_zero) > calibrate_cext(s, high * p_zero)
+
+
+#: The extinction cross-sections calibrated to the paper's 175 nm and
+#: 250 nm anchors [m^2].
+CEXT_ANCHORS = (5.2571e-14, 2.6957e-13)
+
+
+def full_scan_line_peak(grid, s, half_y):
+    """The center-line peak from all 601 samples, refined as _line_peak refines."""
+    ys = np.linspace(-half_y, half_y, 601)
+    idx = int(np.argmax(irradiance_on_grid(s, grid, [0.0], ys)[0]))
+    fine = np.linspace(ys[max(idx - 1, 0)], ys[min(idx + 1, ys.size - 1)], 81)
+    fvals = irradiance_on_grid(s, grid, [0.0], fine)[0]
+    j = int(np.argmax(fvals))
+    if 0 < j < fine.size - 1:
+        y0, y1, y2 = fvals[j - 1], fvals[j], fvals[j + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < 0.0:
+            return float(fine[j] + 0.5 * (y0 - y2) / denom * (fine[1] - fine[0]))
+    return float(fine[j])
+
+
+# The bench's dusty cases: near-range at 5 km, the far-study sweep's ends.
+@example(5000.0, 2.0, CEXT_ANCHORS[0])
+@example(5000.0, 12.0, CEXT_ANCHORS[0])
+@example(10000.0, 2.0, CEXT_ANCHORS[0])
+@example(30000.0, 2.0, CEXT_ANCHORS[0])
+@example(50000.0, 2.0, CEXT_ANCHORS[0])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(800.0, 50e3), st.floats(2.0, 12.0), st.sampled_from(CEXT_ANCHORS))
+def test_strided_line_peak_equals_the_full_scan_bit_for_bit(D, h0, c_ext):
+    s = scenario_from_mapping({
+        "geometry.D": D, "geometry.h0": h0, "dust.enabled": True,
+        "dust.cext_source": "explicit", "dust.cext": c_ext,
+    })
+    half_x = SHIFT_WINDOW_FACTOR * s.geometry.L / 2.0
+    half_y = SHIFT_WINDOW_FACTOR * s.geometry.W / 2.0
+    grid = build_aperture_grid(s.laser, window_aperture_resolution(s, half_x, half_y))
+    peak = receiver._line_peak(grid, s, half_y)
+    assert float.hex(peak) == float.hex(full_scan_line_peak(grid, s, half_y))

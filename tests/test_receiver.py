@@ -183,6 +183,28 @@ def test_short_range_shift_matches_a_fixed_high_order():
     assert panel_power(s).shift_y == pytest.approx(moment / total, rel=s.numerics.target_rel)
 
 
+@pytest.mark.parametrize("D, sizes", [(1500.0, [601, 81]), (5000.0, [121, 8, 81])])
+def test_line_peak_strides_its_scan_at_four_samples_per_fringe(D, sizes, monkeypatch):
+    # The stride is floor(fringe / (4 * spacing)): 1 below about 1.88 km,
+    # where the full 601-point line is scanned, and 5 at 5 km. The local
+    # call covers +-4 samples around the 5 km line's one scanned maximum.
+    s = scen(**{"geometry.D": D, "numerics.aperture_resolution": 64, "dust.enabled": True,
+                "dust.cext_source": "explicit", "dust.cext": 5.2571e-14})
+    calls, irradiance = [], receiver.irradiance_on_grid
+
+    def recording(scenario, grid, xs, ys):
+        calls.append(np.asarray(ys))
+        return irradiance(scenario, grid, xs, ys)
+
+    monkeypatch.setattr(receiver, "irradiance_on_grid", recording)
+    half = SHIFT_WINDOW_FACTOR * 0.25
+    receiver._line_peak(build_aperture_grid(s.laser, 64), s, half)
+    assert [ys.size for ys in calls] == sizes
+    line = np.linspace(-half, half, 601)
+    assert set(calls[0]).union(*calls[1:-1]) <= set(line)
+    assert calls[0][0] == line[0] and calls[0][-1] == line[-1]
+
+
 def test_dusty_panel_power_is_identical_under_one_and_two_blas_threads():
     # The separable propagation runs on BLAS dots of at most 4096 terms,
     # which OpenBLAS sums on one thread at any thread count; the power

@@ -106,6 +106,11 @@ def test_grid_resolution_floor():
         build_aperture_grid(default_source(), 4)
 
 
+def test_grid_resolution_cap_is_refused_before_the_build():
+    with pytest.raises(ResolutionError, match=r"resolution 4097 exceeds .* 1 GiB"):
+        build_aperture_grid(default_source(), 4097)
+
+
 def test_grid_flags_waist_undersampling():
     # A waist of w0 = r_a/5 concentrates the power in a few cells of a
     # res-8 grid; the power check must reject the grid.
