@@ -252,6 +252,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.rays < 1:
+        raise ValidationError(f"--rays must be at least 1, got {args.rays}")
     checks = []
 
     # Closed-form ray phase against adaptive quadrature on random rays.
@@ -260,7 +262,7 @@ def _cmd_validate(args) -> int:
 
     dust = DustModel(d_p=175e-9, C_ext=7.3e-16)
     worst_re = worst_im = 0.0
-    for _ in range(max(args.rays, 1)):
+    for _ in range(args.rays):
         h_src = rng.uniform(0.01, 20.0)
         h_dst = rng.uniform(0.01, 20.0)
         length = rng.uniform(10.0, 5e4)

@@ -418,7 +418,7 @@ def compute_irradiance_map(
         Half-width of the sampled square [m]; by default the beam-shift
         analysis window, SHIFT_WINDOW_FACTOR panel half-extents per axis.
     resolution : int
-        Grid points per axis, at least 32.
+        Grid points per axis, 32 to 4097 (at 4097, about 0.3 GB of arrays).
     """
     geom = scenario.geometry
     if extent is None:
@@ -431,8 +431,8 @@ def compute_irradiance_map(
         raise ValidationError(
             f"map extent {extent} m does not cover the {geom.L} x {geom.W} m panel"
         )
-    if resolution < 32:
-        raise ValidationError(f"map resolution must be >= 32 per axis, got {resolution}")
+    if not 32 <= resolution <= 4097:
+        raise ValidationError(f"map resolution must be >= 32 and <= 4097, got {resolution}")
 
     ap_res = window_aperture_resolution(scenario, ex, ey)
     xs = _symmetric_axis(ex, resolution)

@@ -251,16 +251,12 @@ def panel_power(scenario, with_shift: bool = True) -> PanelResult:
     laser = scenario.laser
     rtol = scenario.numerics.target_rel
     win_x, win_y = SHIFT_WINDOW_FACTOR * geom.L / 2.0, SHIFT_WINDOW_FACTOR * geom.W / 2.0
-    power_grid = _panel_grid(scenario)
-    history, rel = _panel_power(scenario, power_grid)
+    history, rel = _panel_power(scenario, _panel_grid(scenario))
     order, power = history[-1]
 
     shift = peak = 0.0
     if scenario.dust_enabled and with_shift:
-        win_res = window_aperture_resolution(scenario, win_x, win_y)
-        win_grid = (
-            power_grid if win_res == power_grid.resolution else build_aperture_grid(laser, win_res)
-        )
+        win_grid = build_aperture_grid(laser, window_aperture_resolution(scenario, win_x, win_y))
 
         def centroid(order: int) -> float:
             wtot, wmom = _window_integrals(win_grid, scenario, win_x, win_y, order)

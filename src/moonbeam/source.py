@@ -33,6 +33,12 @@ _POWER_RTOL = 5e-3
 #: Most cells per axis built: eight float64 arrays of res^2 cells, 1 GiB.
 _MAX_RESOLUTION = 4096
 
+#: Most grid nodes held across calls: 40 MiB at about 40 B per node.
+_HELD_NODES = 2**20
+
+#: Built grids by (LaserSource, resolution), least recently used first.
+_HELD: dict = {}
+
 
 @dataclass(frozen=True)
 class LaserSource:
@@ -62,15 +68,15 @@ class LaserSource:
     zeta: float = field(init=False)
 
     def __post_init__(self):
-        if self.P0 <= 0:
+        if not self.P0 > 0:  # "not > 0" refuses NaN as well
             raise DomainError(f"emitted power must be positive, got {self.P0}")
-        if self.w0 <= 0:
+        if not self.w0 > 0:
             raise DomainError(f"waist radius must be positive, got {self.w0}")
-        if self.r_a <= 0:
+        if not self.r_a > 0:
             raise DomainError(f"aperture radius must be positive, got {self.r_a}")
-        if self.wavelength <= 0:
+        if not self.wavelength > 0:
             raise DomainError(f"wavelength must be positive, got {self.wavelength}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise DomainError(f"wave impedance must be positive, got {self.eta}")
         zeta = 1.0 / math.sqrt(-math.expm1(-2.0 * self.r_a**2 / self.w0**2))
         object.__setattr__(self, "zeta", zeta)
@@ -139,12 +145,11 @@ class ApertureGrid:
     lattice_nodes: int = 0
 
     def __post_init__(self):
-        for arr in (self.x, self.y, self.weight, self.e0, self.axis, self.amp, self.spans):
-            if arr is not None:
-                arr.setflags(write=False)
+        _read_only(self.x, self.y, self.weight, self.e0, self.axis, self.amp, self.spans)
 
     #: np.unique(y, return_inverse=True), computed once per grid.
-    _distinct_y = functools.cached_property(lambda self: np.unique(self.y, return_inverse=True))
+    _distinct_y = functools.cached_property(
+        lambda self: _read_only(*np.unique(self.y, return_inverse=True)))
 
     @functools.cached_property
     def _separable(self):
@@ -154,7 +159,7 @@ class ApertureGrid:
         rim_x, rim_ix = np.unique(self.x[rim], return_inverse=True)
         rim_y, rim_iy = np.unique(self.y[rim], return_inverse=True)
         by_y = np.argsort(rim_iy, kind="stable")
-        return (
+        return _read_only(
             np.concatenate([self.axis, rim_x]), np.concatenate([self.axis, rim_y]),
             rim_ix[by_y], (self.weight[rim] * self.e0[rim])[by_y],
             np.searchsorted(rim_iy[by_y], np.arange(rim_y.size)),
@@ -166,6 +171,14 @@ class ApertureGrid:
         return float(np.sum(self.weight * self.e0**2) / (2.0 * eta))
 
 
+def _read_only(*arrays):
+    """The arguments, with every ndarray among them set read-only."""
+    for arr in arrays:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return arrays
+
+
 def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
     """Discretize the aperture disk at the given cells-per-axis count.
 
@@ -174,6 +187,9 @@ def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
     of subcells built from per-axis squares, and a node at the overlap
     centroid. Raises ResolutionError above _MAX_RESOLUTION cells per axis, or
     if the discrete power misses P0 by over 0.5% (too coarse for the waist).
+
+    Each (ls, resolution) is built once, then held within _HELD_NODES nodes,
+    least recently used out first; refusals and larger grids are not held.
     """
     if resolution < 8:
         raise ValidationError(f"aperture resolution must be >= 8, got {resolution}")
@@ -181,6 +197,10 @@ def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
     if res > _MAX_RESOLUTION:
         raise ResolutionError(f"aperture resolution {res} exceeds the {_MAX_RESOLUTION}-cell "
                               f"limit; its build would need {64 * res * res / 2**30:.3g} GiB")
+    key = (ls, res)
+    if key in _HELD:
+        _HELD[key] = _HELD.pop(key)  # now the most recently used
+        return _HELD[key]
     ra = ls.r_a
     cell = 2.0 * ra / res
     centers = (np.arange(res) + 0.5) * cell - ra
@@ -233,4 +253,8 @@ def build_aperture_grid(ls: LaserSource, resolution: int) -> ApertureGrid:
             f"aperture resolution {res} reproduces only {power:.6g} W of the "
             f"emitted {ls.P0:.6g} W; increase the resolution"
         )
+    if grid.x.size <= _HELD_NODES:
+        _HELD[key] = grid
+        while sum(g.x.size for g in _HELD.values()) > _HELD_NODES:
+            del _HELD[next(iter(_HELD))]
     return grid

@@ -298,6 +298,15 @@ def test_map_resolution_validation(capsys):
     assert "resolution" in err
 
 
+def test_map_resolution_above_its_limit_is_refused_at_once(capsys, tmp_path):
+    # 4098 points per axis would already hold over 0.3 GB of map arrays.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "map", "--resolution", "4098", "--output-dir", str(tmp_path))
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 1 and out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error:") and "<= 4097" in err
+
+
 def test_sweep_command_writes_csv_and_manifest(tmp_path, capsys):
     code, out, _ = run(
         capsys, "sweep", "--kind", "distance", "--axis", "D=5000:10000:5000",
@@ -359,6 +368,13 @@ def test_validate_command_passes(capsys):
     assert code == 0
     assert "4/4 oracle checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("rays", ["0", "-5"])
+def test_validate_needs_at_least_one_ray(capsys, rays):
+    code, out, err = run(capsys, "validate", "--rays", rays)
+    assert code == 1 and out == ""
+    assert err == f"error: --rays must be at least 1, got {rays}\n"
 
 
 def test_validate_reports_a_refused_aperture_grid_as_fail(capsys, monkeypatch):

@@ -267,6 +267,15 @@ def default_scenario(**cfg):
     return scenario_from_mapping(base)
 
 
+def test_map_resolution_limit_is_checked_before_any_grid(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("aperture grid built for a refused map")
+
+    monkeypatch.setattr(diffraction, "build_aperture_grid", unexpected)
+    with pytest.raises(ValidationError, match="<= 4097, got 4098"):
+        compute_irradiance_map(default_scenario(), resolution=4098)
+
+
 def test_map_geometry_and_metadata():
     s = default_scenario()
     imap = compute_irradiance_map(s, resolution=33)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import moonbeam
-from moonbeam import receiver
+from moonbeam import receiver, source
 from moonbeam.diffraction import (
     SHIFT_WINDOW_FACTOR,
     IrradianceMap,
@@ -277,3 +277,17 @@ def test_beam_shift_degenerate_map():
     imap = synthetic_map(np.zeros((64, 64)))
     with pytest.raises(DegenerateMapError, match="no irradiance"):
         beam_shift(imap)
+
+
+@pytest.mark.parametrize("h0", [2.0, 12.0])
+def test_held_grids_give_the_cold_bits(h0, monkeypatch):
+    # The benchmark's dust operations at 5 km: panel and window grids,
+    # built afresh on an emptied held set, then returned held.
+    s = scen(**{"geometry.D": 5000.0, "geometry.h0": h0, "dust.enabled": True,
+                "dust.cext_source": "explicit", "dust.cext": 5.257065813393193e-14})
+    monkeypatch.setattr(source, "_HELD", {})
+    cold = panel_power(s)
+    assert len(source._HELD) == 2
+    warm = panel_power(s)
+    for name in ("power", "efficiency", "shift_y", "peak_y"):
+        assert getattr(warm, name).hex() == getattr(cold, name).hex(), name

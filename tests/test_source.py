@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from moonbeam import source
 from moonbeam.errors import DomainError, ResolutionError, ValidationError
 from moonbeam.source import LaserSource, aperture_field, build_aperture_grid
 
@@ -48,7 +49,8 @@ def test_peak_amplitude_and_rayleigh_range():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("P0", 0.0), ("w0", -0.05), ("r_a", 0.0), ("wavelength", 0.0), ("eta", -377.0)],
+    [("P0", 0.0), ("w0", -0.05), ("r_a", 0.0), ("wavelength", 0.0), ("eta", -377.0),
+     ("P0", math.nan), ("w0", math.nan), ("wavelength", math.nan)],
 )
 def test_source_validation(field, value):
     kwargs = {field: value}
@@ -181,3 +183,66 @@ def test_rim_cells_match_the_subcell_sums(res):
     ulp = np.spacing(ls.r_a)
     assert np.max(np.abs(grid.x[n:] - x)) <= 4 * ulp
     assert np.max(np.abs(grid.y[n:] - y)) <= 4 * ulp
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """An empty set of held grids for the test, the process's own restored after it."""
+    monkeypatch.setattr(source, "_HELD", {})
+    return source._HELD
+
+
+def test_equal_requests_return_the_held_grid(held):
+    grid = build_aperture_grid(default_source(), 64)
+    assert build_aperture_grid(default_source(), 64) is grid
+    assert build_aperture_grid(default_source(), np.int64(64)) is grid
+    others = [
+        build_aperture_grid(default_source(wavelength=532e-9), 64),
+        build_aperture_grid(default_source(eta=376.0), 64),
+        build_aperture_grid(default_source(), 65),
+    ]
+    assert all(other is not grid for other in others)
+    assert list(held) == [(default_source(), 64), (default_source(wavelength=532e-9), 64),
+                          (default_source(eta=376.0), 64), (default_source(), 65)]
+
+
+def test_refusals_are_raised_on_every_call_and_never_held(held):
+    tight = LaserSource(P0=1000.0, w0=0.01, r_a=0.05, wavelength=1064e-9)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=">= 8"):
+            build_aperture_grid(default_source(), 7)
+        with pytest.raises(ResolutionError, match="4097 exceeds"):
+            build_aperture_grid(default_source(), 4097)
+        with pytest.raises(ResolutionError, match="reproduces only"):
+            build_aperture_grid(tight, 8)
+    assert held == {}
+
+
+def test_least_recently_used_grids_leave_the_node_budget(held, monkeypatch):
+    ls = default_source()
+    nodes = {res: build_aperture_grid(ls, res).x.size for res in (16, 20, 24, 32)}
+    assert nodes[16] < nodes[20] < nodes[24] < nodes[32]
+    held.clear()
+    monkeypatch.setattr(source, "_HELD_NODES", nodes[16] + nodes[24])
+    g16, g24 = build_aperture_grid(ls, 16), build_aperture_grid(ls, 24)
+    assert build_aperture_grid(ls, 16) is g16  # 24 is now the least recently used
+    g20 = build_aperture_grid(ls, 20)
+    assert list(held) == [(ls, 16), (ls, 20)]
+    assert build_aperture_grid(ls, 16) is g16 and build_aperture_grid(ls, 20) is g20
+    again = build_aperture_grid(ls, 24)  # 16 and then 20 make room for it
+    assert again is not g24 and np.array_equal(again.x, g24.x)
+    assert list(held) == [(ls, 24)]
+
+    # A grid over the whole budget is built on each call and evicts nothing.
+    big = build_aperture_grid(ls, 32)
+    assert build_aperture_grid(ls, 32) is not big
+    assert list(held) == [(ls, 24)] and build_aperture_grid(ls, 24) is again
+
+
+def test_derived_tables_are_read_only():
+    grid = build_aperture_grid(default_source(), 64)
+    tables = [*grid._distinct_y, *grid._separable[:-1]]
+    assert len(tables) == 7 and all(isinstance(t, np.ndarray) for t in tables)
+    assert not any(t.flags.writeable for t in tables)
+    with pytest.raises(ValueError):
+        grid._distinct_y[1][0] = 0

@@ -8,7 +8,7 @@ import pytest
 
 from moonbeam.dust import mie_extinction_cross_section
 from moonbeam.errors import ConvergenceError, NumericalError, ValidationError
-from moonbeam import sweeps
+from moonbeam import source, sweeps
 from moonbeam.mapio import write_table_csv
 from moonbeam.phase import column_density
 from moonbeam.receiver import RESULT_COLUMNS, panel_power
@@ -214,6 +214,17 @@ def test_run_sweep_worker_counts_agree_byte_for_byte(tmp_path):
     write_table_csv(p1, serial.columns, serial.rows)
     write_table_csv(p2, parallel.columns, parallel.rows)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_workers_started_without_held_grids_agree_with_one_worker(monkeypatch):
+    # Forked workers inherit the parent's held grids; from an emptied set
+    # they build their own, and the serial run after them starts cold too.
+    spec = SweepSpec(kind="panel_height", base=dusty_base(**{"geometry.D": 20000.0}),
+                     axes={"hp": [2.0, 4.0, 6.0]})
+    monkeypatch.setattr(source, "_HELD", {})
+    parallel = run_sweep(spec, workers=2)
+    assert source._HELD == {}
+    assert parallel.rows == run_sweep(spec, workers=1).rows
 
 
 def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
