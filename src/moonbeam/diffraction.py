@@ -29,10 +29,15 @@ Two evaluations of that sum:
   _FRESNEL_REMAINDER_MAX is refused at once. Destination rows are
   built and contracted in blocks of _ROW_BLOCK_ELEMENTS.
 
-Both are deterministic, whatever the worker, BLAS thread or row-block
-count: the direct sum reduces in numpy's fixed order, the prefix sums
-run in sequence (cumsum), and the y products are BLAS dots of at most
-_DOT_SLICE terms, each on one OpenBLAS thread, added in order.
+Inside a :class:`holding` block, both keep the factors of each call
+that do not depend on C_ext, so that a calibration's probes at one point
+set pay only for the extinction exp(-C_ext*nbar*R) on top of them.
+
+Both are deterministic, whatever the worker, BLAS thread, row-block
+count or holding: the direct sum reduces in numpy's fixed order, the
+prefix sums run in sequence (cumsum), and the y products are BLAS dots
+of at most _DOT_SLICE terms, each on one OpenBLAS thread, added in
+order.
 
 All irradiance on the panel plane (panel power, shift window, line peak
 and maps) comes from :func:`irradiance_on_grid`. SHIFT_WINDOW_FACTOR
@@ -42,7 +47,7 @@ sizes both the shift window and the default map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +92,58 @@ _FRESNEL_REMAINDER_MAX = 1e-6
 #: ~1e4 rad and sums of ~1e5 terms leave rounding near 1e-12; a fault in
 #: the separable sum shows at order one.
 _ROUNDING_RTOL = 1e-9
+
+
+#: Bytes of C_ext-free factors that one holding() block keeps: calls past
+#: it are computed unheld. It covers every point set of a calibration at
+#: 1 km and more.
+_HELD_BYTES = 2**26
+
+#: The open holding() block's factors by call key, as (grid, bytes,
+#: factors); None while no block is open.
+_held: dict | None = None
+
+
+class holding:
+    """Context manager that holds the kernel's C_ext-free factors.
+
+    Inside ``with holding():``, field_on_grid and field_at_points keep
+    each call's factors that do not depend on C_ext (see _factors), up
+    to _HELD_BYTES. A repeat that differs only in C_ext applies its
+    extinction exp(-C_ext*nbar*R) to them in the unheld call's operation
+    order, so it returns the same bits. Nothing is held once the block
+    exits.
+    """
+
+    def __enter__(self):
+        global _held
+        _held = {}
+        return self
+
+    def __exit__(self, *exc):
+        global _held
+        _held = None
+
+
+def _factors(build, nbytes: int, kind: str, grid: ApertureGrid, geom, dust, wavelength,
+             *points):
+    """build()'s tuple of C_ext-free factors, whose last item iterates
+    over blocks. Inside holding(), they are keyed by kind, the grid
+    object, geometry, dust model with C_ext cleared, wavelength and the
+    points (arrays by their bytes): a held key is served, and a new one
+    is held, its blocks as a list, while the held bytes stay within
+    _HELD_BYTES. Otherwise the blocks stream."""
+    if _held is None:
+        return build()
+    key = (kind, id(grid), geom, None if dust is None else replace(dust, C_ext=0.0), wavelength,
+           *(p.tobytes() if isinstance(p, np.ndarray) else p for p in points))
+    if key in _held:
+        return _held[key][2]
+    factors = build()
+    if sum(entry[1] for entry in _held.values()) + nbytes <= _HELD_BYTES:
+        factors = (*factors[:-1], list(factors[-1]))
+        _held[key] = (grid, nbytes, factors)  # the grid keeps id(grid) in the key unique
+    return factors
 
 
 def required_aperture_resolution(ls: LaserSource, z_min: float, rho_max: float) -> int:
@@ -146,6 +203,24 @@ def field_at_points(
     if np.any(z <= 0.0):
         raise ValidationError("destination points must lie at z > 0")
 
+    (blocks,) = _factors(
+        lambda: (_point_factors(grid, geom, dust, wavelength, x, y, z),),
+        x.size * grid.x.size * 8 * (3 if dust is None else 4),
+        "points", grid, geom, dust, wavelength, x, y, z,
+    )
+    out = np.empty(x.size, dtype=complex)
+    for sl, amp, cos, sin, cn in blocks:
+        if dust is not None and dust.C_ext > 0.0:
+            amp = amp * np.exp(-dust.C_ext * cn)
+        out[sl] = np.sum(amp * cos, axis=1) - 1j * np.sum(amp * sin, axis=1)
+    if not np.all(np.isfinite(out.view(float))):
+        raise NumericalError("field accumulation produced non-finite values")
+    return out.reshape(shape)
+
+
+def _point_factors(grid, geom, dust, wavelength, x, y, z):
+    """field_at_points's C_ext-free factors per block of points: the block's
+    slice, a/R, cos and sin of the phase, and nbar*R (None without dust)."""
     k = 2.0 * math.pi / wavelength
     if dust is not None:
         ys_src, src_row = grid._distinct_y
@@ -156,7 +231,6 @@ def field_at_points(
 
     src_amp = grid.weight * grid.e0 / wavelength
     n_nodes = grid.x.size
-    out = np.empty(x.size, dtype=complex)
     block = max(1, _BLOCK_ELEMENTS // max(n_nodes, 1))
     for start in range(0, x.size, block):
         sl = slice(start, min(start + block, x.size))
@@ -166,18 +240,11 @@ def field_at_points(
         rho2 = dx * dx + dy * dy
         R = np.sqrt(rho2 + zz * zz)
         phase = k * (rho2 / (R + zz))
-        amp = src_amp[None, :] / R
+        cn = None
         if dust is not None:
             cn = np.take(nbar_table[dst_row[sl]], src_row, axis=1) * R
             phase = phase + kappa * cn
-            if dust.C_ext > 0.0:
-                amp = amp * np.exp(-dust.C_ext * cn)
-        out[sl] = np.sum(amp * np.cos(phase), axis=1) - 1j * np.sum(
-            amp * np.sin(phase), axis=1
-        )
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericalError("field accumulation produced non-finite values")
-    return out.reshape(shape)
+        yield sl, src_amp[None, :] / R, np.cos(phase), np.sin(phase), cn
 
 
 def field_at_point(
@@ -248,10 +315,10 @@ def field_on_grid(
         raise ValidationError("destination points must lie at z > 0")
     k = 2.0 * math.pi / wavelength
 
-    cx, cy, rim_ix, rim_a, first, amp_sum = grid._separable
+    cx, cy, _, _, first, amp_sum = grid._separable
     u = (float(np.max(np.abs(xs))) + float(np.max(np.abs(cx)))) ** 2
     v = (float(np.max(np.abs(ys))) + float(np.max(np.abs(cy)))) ** 2
-    col = 0.0
+    col, h_src, h_dst = 0.0, None, None
     if dust is not None:
         # Mean density never rises with either endpoint height.
         h_src, h_dst = ray_heights(geom, cy, ys, z)
@@ -265,46 +332,28 @@ def field_on_grid(
             f"short for this destination grid"
         )
 
-    # Per pair with u = dx^2, a/lambda * X(dx) * Y(dy, y, y0) * (1 + l1*u):
-    # X = exp(-jk*u/(R_x + z)), Y = exp(-jk*dy^2/(R_y + z) - c*nbar*R_y)/R_y
-    # and l1 = (jk*dy^2/((R_y + z)*z) - c*nbar - 1/R_y) / 2R_y, with
-    # R_x = sqrt(z^2 + u) and R_y = sqrt(z^2 + dy^2). The left factors are
-    # X and X*u, the right ones Y and Y*l1; 1/lambda is applied at the end.
-    dx2 = (xs[:, None] - cx[None, :]) ** 2
-    kx = np.exp(-1j * k * (dx2 / (np.sqrt(z * z + dx2) + z)))
-    left = np.stack([kx, kx * dx2], axis=1)
-    # Lattice column j sums left * amp over its rows lo_j <= i < hi_j.
-    n = grid.axis.size
-    prefix = np.zeros((xs.size, 2, n + 1), dtype=complex)
-    np.cumsum(left[:, :, :n] * grid.amp, axis=2, out=prefix[:, :, 1:])
-    lo, hi = grid.spans
-    la = (prefix[:, :, hi] - prefix[:, :, lo]) * grid.amp
-    # The rim nodes' left columns, scaled by their amplitudes, are summed
-    # per distinct y (in a fixed order), where they meet one right column.
-    rim = np.add.reduceat(np.take(left[:, :, n:], rim_ix, axis=2) * rim_a, first, axis=2)
-    left = np.concatenate([la, rim], axis=2).reshape(xs.size, -1)
-    # The right factors of each block of rows fill one reused buffer.
     rows = max(1, min(ys.size, _ROW_BLOCK_ELEMENTS // (2 * cy.size)))
+    left, blocks = _factors(
+        lambda: (_left_factors(grid, k, xs, z),
+                 _row_factors(dust, k, cy, ys, z, rows, h_src, h_dst)),
+        32 * xs.size * (grid.axis.size + first.size) + 8 * ys.size * cy.size * (
+            4 if dust is None else 6),
+        "grid", grid, geom, dust, wavelength, xs, ys, z, rows,
+    )
+    # The right factors of each block of rows fill one reused buffer:
+    # Y = amp*exp(-j*phase) and l1 = (re + j*im)*inv/2, built from real parts.
     buf = np.empty((rows, 2, cy.size), dtype=complex)
     e = np.empty((xs.size, ys.size), dtype=complex)
-    for start in range(0, ys.size, rows):
-        blk = slice(start, min(start + rows, ys.size))
-        dy2 = (ys[blk, None] - cy[None, :]) ** 2
-        ry = np.sqrt(z * z + dy2)
-        inv = 1.0 / ry
-        # Y = amp*exp(-j*phase) and l1 = (re + j*im)*inv/2, built from real parts.
-        phase = k * (dy2 / (ry + z))
-        amp, re, im = inv, -inv, phase / z
+    for blk, inv, cos, sin, im, nbar, cn in blocks:
+        amp, re = inv, -inv
         if dust is not None:
-            nbar = mean_density(dust, h_dst[blk, None], h_src[None, :])
-            amp = amp * np.exp(-c.real * (nbar * ry))
-            phase = phase + c.imag * (nbar * ry)
-            re, im = re - c.real * nbar, im - c.imag * nbar
-        right = buf[: dy2.shape[0]]
-        np.multiply(amp, np.cos(phase), out=right[:, 0].real)
-        np.multiply(-amp, np.sin(phase), out=right[:, 0].imag)
+            amp = amp * np.exp(-c.real * cn)
+            re = re - c.real * nbar
+        right = buf[: inv.shape[0]]
+        np.multiply(amp, cos, out=right[:, 0].real)
+        np.multiply(-amp, sin, out=right[:, 0].imag)
         np.multiply(right[:, 0], (re + 1j * im) * (0.5 * inv), out=right[:, 1])
-        e[:, blk] = _contract(left, right.reshape(dy2.shape[0], -1))
+        e[:, blk] = _contract(left, right.reshape(inv.shape[0], -1))
     e /= wavelength
     if not np.all(np.isfinite(e.view(float))):
         raise NumericalError("field accumulation produced non-finite values")
@@ -321,6 +370,49 @@ def field_on_grid(
             f"direct sum by {abs(e[i, j] - exact):.3g} V/m, above its bound"
         )
     return e
+
+
+def _left_factors(grid: ApertureGrid, k: float, xs: np.ndarray, z: float) -> np.ndarray:
+    """field_on_grid's left factors, per destination column: the lattice
+    columns' sums over their spans, then the rim's sums per distinct y."""
+    # Per pair with u = dx^2, a/lambda * X(dx) * Y(dy, y, y0) * (1 + l1*u):
+    # X = exp(-jk*u/(R_x + z)), Y = exp(-jk*dy^2/(R_y + z) - c*nbar*R_y)/R_y
+    # and l1 = (jk*dy^2/((R_y + z)*z) - c*nbar - 1/R_y) / 2R_y, with
+    # R_x = sqrt(z^2 + u) and R_y = sqrt(z^2 + dy^2). The left factors are
+    # X and X*u, the right ones Y and Y*l1; 1/lambda is applied at the end.
+    cx, _, rim_ix, rim_a, first, _ = grid._separable
+    dx2 = (xs[:, None] - cx[None, :]) ** 2
+    kx = np.exp(-1j * k * (dx2 / (np.sqrt(z * z + dx2) + z)))
+    left = np.stack([kx, kx * dx2], axis=1)
+    # Lattice column j sums left * amp over its rows lo_j <= i < hi_j.
+    n = grid.axis.size
+    prefix = np.zeros((xs.size, 2, n + 1), dtype=complex)
+    np.cumsum(left[:, :, :n] * grid.amp, axis=2, out=prefix[:, :, 1:])
+    lo, hi = grid.spans
+    la = (prefix[:, :, hi] - prefix[:, :, lo]) * grid.amp
+    # The rim nodes' left columns, scaled by their amplitudes, are summed
+    # per distinct y (in a fixed order), where they meet one right column.
+    rim = np.add.reduceat(np.take(left[:, :, n:], rim_ix, axis=2) * rim_a, first, axis=2)
+    return np.concatenate([la, rim], axis=2).reshape(xs.size, -1)
+
+
+def _row_factors(dust, k, cy, ys, z, rows, h_src, h_dst):
+    """field_on_grid's C_ext-free right factors per block of rows: the block's
+    slice, 1/R_y, cos and sin of the phase, l1's imaginary part before the
+    1/2R_y, and nbar and nbar*R_y (None without dust)."""
+    kappa = None if dust is None else k * dust.polarizability_volume
+    for start in range(0, ys.size, rows):
+        blk = slice(start, min(start + rows, ys.size))
+        dy2 = (ys[blk, None] - cy[None, :]) ** 2
+        ry = np.sqrt(z * z + dy2)
+        phase = k * (dy2 / (ry + z))
+        im, nbar, cn = phase / z, None, None
+        if dust is not None:
+            nbar = mean_density(dust, h_dst[blk, None], h_src[None, :])
+            cn = nbar * ry
+            phase = phase + kappa * cn
+            im = im - kappa * nbar
+        yield blk, 1.0 / ry, np.cos(phase), np.sin(phase), im, nbar, cn
 
 
 def irradiance_at_point(field_value, eta: float):

@@ -207,6 +207,10 @@ def calibrate_cext(scenario, reference_power: float) -> float:
     grid, built once, and the quadrature order chosen adaptively at the
     Rayleigh probe. The root is then probed once on the adaptive
     schedule, and the search resumes from it at that probe's order.
+    The probes run in one diffraction.holding() block: each order's
+    kernel factors that do not depend on C_ext are built once, within
+    its byte budget, and later probes apply only their extinction to
+    them, with the bits of unheld calls.
 
     Parameters
     ----------
@@ -233,7 +237,8 @@ def calibrate_cext(scenario, reference_power: float) -> float:
         If the reference exceeds the power at C_ext = 0 or the search
         bracket cannot be expanded to straddle it.
     """
-    from .receiver import _panel_grid, _panel_power  # deferred: import cycle
+    from .diffraction import holding  # deferred: import cycle
+    from .receiver import _panel_grid, _panel_power
 
     p0 = scenario.laser.P0
     if not 0.0 < reference_power < p0:
@@ -249,18 +254,10 @@ def calibrate_cext(scenario, reference_power: float) -> float:
         return order, (math.log(p / reference_power) if p > 0.0 else -math.inf)
 
     rel_tol = 1e-3
-    f_zero = probe(0.0)[1]
-    if abs(math.expm1(f_zero)) <= rel_tol:
-        return 0.0
-    if f_zero < 0.0:
-        raise CalibrationError(
-            f"reference power {reference_power} W exceeds the extinction-free "
-            f"power {reference_power * math.exp(f_zero):.6g} W; no C_ext >= 0 can reach it",
-            bracket=(0.0, 0.0),
-        )
 
     def solve(c, probed):
         # f(lo) > 0 >= f(hi), with hi = inf until found; x is the previous probe.
+        # f_zero = f(0) is probed below, before the first solve.
         (order, f_c), lo, f_lo, hi, f_hi = probed, 0.0, f_zero, math.inf, None
         x, f_x = lo, f_lo
         for _ in range(100):
@@ -283,6 +280,19 @@ def calibrate_cext(scenario, reference_power: float) -> float:
             bracket=(lo, hi),
         )
 
-    c_r = rayleigh_cross_section(scenario.dust.d_p, scenario.laser.wavelength, scenario.dust.m_p)
-    root = solve(c_r, probe(c_r))
-    return solve(root, probe(root))  # the re-check, on the adaptive schedule
+    # Every probe after the first walk reuses its orders' C_ext-free factors.
+    with holding():
+        f_zero = probe(0.0)[1]
+        if abs(math.expm1(f_zero)) <= rel_tol:
+            return 0.0
+        if f_zero < 0.0:
+            raise CalibrationError(
+                f"reference power {reference_power} W exceeds the extinction-free "
+                f"power {reference_power * math.exp(f_zero):.6g} W; no C_ext >= 0 can reach it",
+                bracket=(0.0, 0.0),
+            )
+        c_r = rayleigh_cross_section(
+            scenario.dust.d_p, scenario.laser.wavelength, scenario.dust.m_p
+        )
+        root = solve(c_r, probe(c_r))
+        return solve(root, probe(root))  # the re-check, on the adaptive schedule

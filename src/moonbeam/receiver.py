@@ -33,6 +33,7 @@ from .diffraction import (  # noqa: F401
     window_aperture_resolution,
 )
 from .errors import ConvergenceError, DegenerateMapError
+from .geometry import ray_heights
 from .source import build_aperture_grid
 
 #: Gauss-Legendre orders of every quadrature refinement: 16 raised 1.5x,
@@ -246,11 +247,17 @@ def panel_power(scenario, with_shift: bool = True) -> PanelResult:
 
     with_shift False skips the shift metrics (0 in the result); the
     dust-free shift is identically zero by symmetry and never computed.
+    With dust and the shift on, a shift window whose lowest edge meets
+    the ground raises TerrainError before any grid is built.
     """
     geom = scenario.geometry
     laser = scenario.laser
     rtol = scenario.numerics.target_rel
     win_x, win_y = SHIFT_WINDOW_FACTOR * geom.L / 2.0, SHIFT_WINDOW_FACTOR * geom.W / 2.0
+    if scenario.dust_enabled and with_shift:
+        # _line_peak reaches the window's lowest point y = -win_y: a window
+        # that meets the ground is refused before any grid or sum.
+        ray_heights(geom, 0.0, -win_y, geom.D)
     history, rel = _panel_power(scenario, _panel_grid(scenario))
     order, power = history[-1]
 

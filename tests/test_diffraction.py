@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -603,3 +604,126 @@ def test_separable_grid_sums_only_one_point_directly(monkeypatch):
     )
     assert e.shape == (41, 82)
     assert points == [1]
+
+
+#: Cross-sections a calibration probes: 0, the 175 nm Rayleigh probe,
+#: and near both benchmark anchors' roots [m^2].
+PROBED_C_EXT = (0.0, 7.33e-16, 5.2578e-14, 2.6957e-13)
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(np.asarray(values).view(float))]
+
+
+def count_factor_builds(monkeypatch):
+    """Record each build of C_ext-free factors by field_on_grid or field_at_points."""
+    builds = []
+    for name in ("_left_factors", "_point_factors"):
+        fn = getattr(diffraction, name)
+
+        def counting(*args, _name=name, _fn=fn):
+            builds.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(diffraction, name, counting)
+    return builds
+
+
+def held_case(**changes):
+    """(grid, geometry, dust without C_ext, wavelength, xs, ys, z): the
+    5 km calibration anchor's panel grid and an order-16 panel set."""
+    ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
+    case = dict(grid=build_aperture_grid(ls, 64), geom=ScenarioGeometry(D=5000.0, h0=12.0, hp=2.0),
+                dust=DustModel(d_p=175e-9, C_ext=0.0), wavelength=1064e-9,
+                xs=np.linspace(0.03, 0.24, 8), ys=np.linspace(-0.24, 0.24, 16), z=5000.0)
+    case.update(changes)
+    return case
+
+
+def both_fields(case, c_ext):
+    """field_on_grid and field_at_points on the case at C_ext = c_ext."""
+    dust = replace(case["dust"], C_ext=c_ext)
+    args = case["grid"], case["geom"], dust, case["wavelength"]
+    xg, yg = np.meshgrid(case["xs"][::3], case["ys"][::5], indexing="ij")
+    return (field_on_grid(*args, case["xs"], case["ys"], case["z"]),
+            field_at_points(*args, xg, yg, case["z"]))
+
+
+@pytest.mark.parametrize("c_ext", PROBED_C_EXT)
+def test_held_factors_give_the_unheld_bits(c_ext, monkeypatch):
+    case = held_case()
+    unheld = [hexes(f) for f in both_fields(case, c_ext)]
+    builds = count_factor_builds(monkeypatch)
+    with diffraction.holding():
+        first, repeat = both_fields(case, c_ext), both_fields(case, c_ext)
+    # One build each for the kernel, its corner check and the scattered points.
+    assert sorted(builds) == ["_left_factors", "_point_factors", "_point_factors"]
+    with diffraction.holding():  # held at another cross-section, served at this one
+        both_fields(case, PROBED_C_EXT[(PROBED_C_EXT.index(c_ext) + 1) % 4])
+        del builds[:]
+        served = both_fields(case, c_ext)
+    assert builds == []
+    for fields in (first, repeat, served):
+        assert [hexes(f) for f in fields] == unheld
+
+
+def test_held_factors_serve_only_a_change_of_c_ext(monkeypatch):
+    ls = LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9)
+    others = {
+        "h0": held_case(geom=ScenarioGeometry(D=5000.0, h0=11.0, hp=2.0)),
+        "hp": held_case(geom=ScenarioGeometry(D=5000.0, h0=12.0, hp=3.0)),
+        "d_p": held_case(dust=DustModel(d_p=250e-9, C_ext=0.0)),
+        "wavelength": held_case(wavelength=1000e-9),
+        "z": held_case(z=4000.0),
+        "xs": held_case(xs=np.linspace(0.03, 0.25, 8)),
+        "ys": held_case(ys=np.linspace(-0.25, 0.24, 16)),
+        "grid": held_case(grid=build_aperture_grid(ls, 66)),
+    }
+    unheld = {name: [hexes(f) for f in both_fields(case, 2.6957e-13)]
+              for name, case in others.items()}
+    builds = count_factor_builds(monkeypatch)
+    with diffraction.holding():
+        both_fields(held_case(), 5.2578e-14)
+        for name, case in others.items():
+            del builds[:]
+            assert [hexes(f) for f in both_fields(case, 2.6957e-13)] == unheld[name], name
+            assert sorted(builds) == ["_left_factors", "_point_factors", "_point_factors"], name
+            del builds[:]
+            both_fields(case, 0.0)
+            assert builds == [], name
+
+
+def test_calls_past_the_budget_are_computed_unheld(monkeypatch):
+    case, other = held_case(), held_case(z=4999.0)
+    unheld = [hexes(f) for f in both_fields(case, 5.2578e-14)]
+    other_unheld = [hexes(f) for f in both_fields(other, 0.0)]
+    builds = count_factor_builds(monkeypatch)
+    with diffraction.holding():
+        both_fields(case, 0.0)
+        held = dict(diffraction._held)
+        assert len(held) == 3
+        budget = sum(entry[1] for entry in held.values())
+        # No more bytes fit: the same sets at another z are not held.
+        monkeypatch.setattr(diffraction, "_HELD_BYTES", budget)
+        del builds[:]
+        for _ in range(2):
+            assert [hexes(f) for f in both_fields(other, 0.0)] == other_unheld
+        assert len(builds) == 6 and diffraction._held == held
+        del builds[:]
+        assert [hexes(f) for f in both_fields(case, 5.2578e-14)] == unheld
+        assert builds == []
+
+
+def test_nothing_stays_held_after_the_block():
+    case = held_case()
+    with diffraction.holding():
+        both_fields(case, 0.0)
+        assert len(diffraction._held) == 3
+    assert diffraction._held is None
+    with pytest.raises(TerrainError):
+        with diffraction.holding():
+            both_fields(case, 0.0)
+            both_fields(held_case(geom=ScenarioGeometry(D=5000.0, h0=12.0, hp=0.2)), 0.0)
+    assert diffraction._held is None
+    both_fields(case, 0.0)
+    assert diffraction._held is None

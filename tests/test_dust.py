@@ -296,3 +296,39 @@ def test_calibration_builds_one_grid_and_probes_few_cross_sections(
     assert len(grids) == 1
     assert len({args[2].C_ext for args in fields}) <= 6
     assert fitted == pytest.approx(pinned, rel=5e-4)
+
+
+@pytest.mark.parametrize(
+    "d_p, h0, reference, pinned",
+    [
+        (175e-9, 12.0, 910.0, "0x1.d99599e92b0c3p-45"),
+        (250e-9, 2.0, 190.0, "0x1.2f81027060225p-42"),
+    ],
+)
+def test_calibration_builds_kernel_factors_once_per_point_set(
+    monkeypatch, d_p, h0, reference, pinned
+):
+    # The probes walk orders 16, 24 and 36 at C_ext = 0, at the Rayleigh
+    # probe and at the root, and hold one order between: ten kernel calls
+    # on three point sets that differ only in C_ext.
+    fields, builds = [], []
+    monkeypatch.setattr(
+        diffraction, "field_on_grid", partial(_counting, fields, diffraction.field_on_grid)
+    )
+    monkeypatch.setattr(
+        diffraction, "_left_factors", partial(_counting, builds, diffraction._left_factors)
+    )
+    anchor = scenario_from_mapping({
+        "geometry.D": 5000.0,
+        "geometry.h0": h0,
+        "dust.enabled": True,
+        "dust.d_p": d_p,
+        "dust.cext_source": "explicit",
+        "dust.cext": 1e-14,
+    })
+    fitted = calibrate_cext(anchor, reference)
+    assert len(fields) == 10
+    assert len(builds) == 3
+    assert len({args[4].size for args in fields}) == 3
+    assert fitted.hex() == pinned
+    assert diffraction._held is None

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import moonbeam
-from moonbeam import receiver, source
+from moonbeam import diffraction, receiver, source
 from moonbeam.diffraction import (
     SHIFT_WINDOW_FACTOR,
     IrradianceMap,
     gaussian_beam_radius,
     window_aperture_resolution,
 )
-from moonbeam.errors import ConvergenceError, DegenerateMapError
+from moonbeam.errors import ConvergenceError, DegenerateMapError, TerrainError
 from moonbeam.receiver import (
     RESULT_COLUMNS,
     beam_shift,
@@ -291,3 +291,19 @@ def test_held_grids_give_the_cold_bits(h0, monkeypatch):
     warm = panel_power(s)
     for name in ("power", "efficiency", "shift_y", "peak_y"):
         assert getattr(warm, name).hex() == getattr(cold, name).hex(), name
+
+
+@pytest.mark.parametrize("D", [1000.0, 5000.0])
+@pytest.mark.parametrize("hp", [0.5, 0.7])
+def test_shift_window_below_the_ground_is_refused_before_any_grid(D, hp, monkeypatch):
+    # The 0.75 m half-height window reaches below the ground at these
+    # panel heights; the line peak would evaluate its lowest edge last.
+    def unexpected(*args):
+        raise AssertionError("work before the terrain refusal")
+
+    monkeypatch.setattr(receiver, "build_aperture_grid", unexpected)
+    monkeypatch.setattr(diffraction, "field_on_grid", unexpected)
+    s = scen(**{"geometry.D": D, "geometry.hp": hp, "dust.enabled": True,
+                "dust.cext_source": "explicit", "dust.cext": 5.257e-14})
+    with pytest.raises(TerrainError, match="touches the ground"):
+        panel_power(s)
