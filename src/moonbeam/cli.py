@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,7 +58,14 @@ def _finite(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call of the process.
+
+    It depends only on CONFIG_KEYS, SWEEP_KINDS and __version__, and
+    parse_args leaves it as it was (the append flags' defaults are
+    copied, not appended to), so every main() call shares one.
+    """
     parser = _Parser(prog="moonbeam", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -48,20 +48,48 @@ def write_table_csv(path, columns, rows) -> None:
             writer.writerow([format_value(row.get(col)) for col in columns])
 
 
+#: Cells formatted per ``%`` call in write_map_csv; its memory is that
+#: of one such block of rows, whatever the map's size.
+_BLOCK_CELLS = 16384
+
+
 def write_map_csv(imap: IrradianceMap, path) -> None:
     """CSV matrix: header row of x coordinates, first column of y.
 
-    One ``%`` call formats each line. ``"%.12g" % v`` is format_value(v)
-    for every double, and no cell needs CSV quoting, so the bytes are
-    those of a csv.writer of format_value cells.
+    ``"%.12g" % v`` is format_value(v) for every double, and no cell
+    needs CSV quoting, so the bytes are those of a csv.writer of
+    format_value cells. When the map equals its x-mirror bit for bit,
+    as every compute_irradiance_map result does, only the x >= 0
+    columns are formatted and each row's x < 0 cells are the same
+    strings reversed. The rows are formatted a block at a time, with
+    one ``%`` call per block.
     """
-    cells = ["%" + FLOAT_FORMAT] * imap.xs.size
-    header = ",".join(["y\\x"] + cells) + "\n"
-    row = ",".join(["%" + FLOAT_FORMAT] + cells) + "\n"
+    values = np.asarray(imap.values, dtype=float)
+    ny, nx = values.shape
+    bits = values.view(np.uint64)  # NaN payloads and -0.0 compare exactly
+    mirrored = np.array_equal(bits, bits[:, ::-1])
+    first = nx // 2 if mirrored else 0
+    width = nx - first
+    rows = max(1, _BLOCK_CELLS // max(width, 1))
+    fmt = "%" + FLOAT_FORMAT
+    header = ",".join(["y\\x"] + [fmt] * nx) + "\n"
+    row = ",".join([fmt] * (nx + 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header % tuple(imap.xs.tolist()))
-        for y, values in zip(imap.ys.tolist(), imap.values.tolist()):
-            fh.write(row % (y, *values))
+        for start in range(0, ny, rows):
+            ys = imap.ys[start:start + rows]
+            block = values[start:start + rows, first:]
+            if not mirrored:
+                cells = np.column_stack([ys, block]).ravel().tolist()
+                fh.write((row * ys.size) % tuple(cells))
+                continue
+            cells = (((fmt + ",") * block.size) % tuple(block.ravel().tolist())).split(",")
+            lines = []
+            for i, y in enumerate(ys.tolist()):
+                right = cells[i * width:(i + 1) * width]
+                # An odd width's centre column is written once.
+                lines.append(",".join([fmt % y, *right[nx % 2:][::-1], *right]))
+            fh.write("\n".join(lines) + "\n")
 
 
 def write_map_pgm(imap: IrradianceMap, path) -> None:

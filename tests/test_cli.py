@@ -326,6 +326,20 @@ def test_sweep_command_writes_csv_and_manifest(tmp_path, capsys):
     assert str(csv_path) in out and str(manifest_path) in out
 
 
+def test_the_parser_is_built_once_and_keeps_calls_independent(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    first = run(capsys, "simulate", "--distance", "25000")
+    assert cli._build_parser() is cli._build_parser()
+    code, _, _ = run(
+        capsys, "sweep", "--kind", "distance", "--axis", "D=5000:10000:5000",
+        "--set", "geometry.h0=3", "--aperture-resolution", "64", "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    args = cli._build_parser().parse_args(["sweep", "--kind", "distance"])
+    assert args.set == [] and args.axis == []
+    assert run(capsys, "simulate", "--distance", "25000") == first
+
+
 def test_sweep_axis_syntax_errors(capsys):
     code, _, err = run(capsys, "sweep", "--kind", "distance", "--axis", "D=1:2")
     assert code == 1
