@@ -47,7 +47,7 @@ sizes both the shift window and the default map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,11 +108,12 @@ class holding:
     """Context manager that holds the kernel's C_ext-free factors.
 
     Inside ``with holding():``, field_on_grid and field_at_points keep
-    each call's factors that do not depend on C_ext (see _factors), up
-    to _HELD_BYTES. A repeat that differs only in C_ext applies its
-    extinction exp(-C_ext*nbar*R) to them in the unheld call's operation
-    order, so it returns the same bits. Nothing is held once the block
-    exits.
+    each call's factors that do not depend on C_ext (see _key), up to
+    _HELD_BYTES; field_on_grid also keeps the mean density of its lowest
+    ray, so that a repeat checks its cross-term bound before using them. A
+    repeat that differs only in C_ext applies its extinction
+    exp(-C_ext*nbar*R) to them in the unheld call's operation order, so it
+    returns the same bits. Nothing is held once the block exits.
     """
 
     def __enter__(self):
@@ -125,22 +126,29 @@ class holding:
         _held = None
 
 
-def _factors(build, nbytes: int, kind: str, grid: ApertureGrid, geom, dust, wavelength,
-             *points):
-    """build()'s tuple of C_ext-free factors, whose last item iterates
-    over blocks. Inside holding(), they are keyed by kind, the grid
-    object, geometry, dust model with C_ext cleared, wavelength and the
-    points (arrays by their bytes): a held key is served, and a new one
-    is held, its blocks as a list, while the held bytes stay within
-    _HELD_BYTES. Otherwise the blocks stream."""
+def _key(kind, grid: ApertureGrid, geom, dust, wavelength, *points):
+    """Inside holding(), the key of a call's C_ext-free factors: kind, the
+    grid object, geometry, the dust model's fields other than C_ext,
+    wavelength and the points (arrays by their bytes). None outside a block."""
     if _held is None:
-        return build()
-    key = (kind, id(grid), geom, None if dust is None else replace(dust, C_ext=0.0), wavelength,
-           *(p.tobytes() if isinstance(p, np.ndarray) else p for p in points))
-    if key in _held:
-        return _held[key][2]
-    factors = build()
-    if sum(entry[1] for entry in _held.values()) + nbytes <= _HELD_BYTES:
+        return None
+    if dust is not None:
+        dust = tuple(value for name, value in vars(dust).items() if name != "C_ext")
+    return (kind, id(grid), geom, dust, wavelength,
+            *(p.tobytes() if isinstance(p, np.ndarray) else p for p in points))
+
+
+def _lookup(key):
+    """The factors held under key, or None."""
+    entry = None if key is None else _held.get(key)
+    return None if entry is None else entry[2]
+
+
+def _hold(key, grid: ApertureGrid, nbytes: int, factors):
+    """factors, a tuple whose last item iterates over blocks. Under a key,
+    they are held, the blocks as a list, while the held bytes stay within
+    _HELD_BYTES; otherwise the blocks stream."""
+    if key is not None and sum(entry[1] for entry in _held.values()) + nbytes <= _HELD_BYTES:
         factors = (*factors[:-1], list(factors[-1]))
         _held[key] = (grid, nbytes, factors)  # the grid keeps id(grid) in the key unique
     return factors
@@ -193,27 +201,28 @@ def field_at_points(
     evaluated once on the table of distinct destination heights by
     distinct source-node heights and gathered per ray.
     """
-    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys), np.shape(zs))
-    x, y, z = (
-        arr.ravel()
-        for arr in np.broadcast_arrays(
-            np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), np.asarray(zs, dtype=float)
-        )
-    )
-    if np.any(z <= 0.0):
+    x, y, z = (np.asarray(v, dtype=float) for v in (xs, ys, zs))
+    if x.ndim == y.ndim == z.ndim == 0:  # one point, as field_on_grid's corner check
+        shape = ()
+        x, y, z = x.reshape(1), y.reshape(1), z.reshape(1)
+    else:
+        shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+        x, y, z = (arr.ravel() for arr in np.broadcast_arrays(x, y, z))
+    if (z <= 0.0).any():
         raise ValidationError("destination points must lie at z > 0")
 
-    (blocks,) = _factors(
-        lambda: (_point_factors(grid, geom, dust, wavelength, x, y, z),),
-        x.size * grid.x.size * 8 * (3 if dust is None else 4),
-        "points", grid, geom, dust, wavelength, x, y, z,
+    key = _key("points", grid, geom, dust, wavelength, x, y, z)
+    held = _lookup(key)
+    (blocks,) = held if held is not None else _hold(
+        key, grid, x.size * grid.x.size * 8 * (3 if dust is None else 4),
+        (_point_factors(grid, geom, dust, wavelength, x, y, z),),
     )
     out = np.empty(x.size, dtype=complex)
     for sl, amp, cos, sin, cn in blocks:
         if dust is not None and dust.C_ext > 0.0:
             amp = amp * np.exp(-dust.C_ext * cn)
         out[sl] = np.sum(amp * cos, axis=1) - 1j * np.sum(amp * sin, axis=1)
-    if not np.all(np.isfinite(out.view(float))):
+    if not np.isfinite(out.view(float)).all():
         raise NumericalError("field accumulation produced non-finite values")
     return out.reshape(shape)
 
@@ -225,11 +234,14 @@ def _point_factors(grid, geom, dust, wavelength, x, y, z):
     if dust is not None:
         ys_src, src_row = grid._distinct_y
         hs, h_dst = ray_heights(geom, ys_src, y, z)
-        hd, dst_row = np.unique(h_dst, return_inverse=True)
+        if h_dst.size == 1:  # one point: nothing to deduplicate
+            hd, dst_row = h_dst, np.zeros(1, dtype=np.intp)
+        else:
+            hd, dst_row = np.unique(h_dst, return_inverse=True)
         nbar_table = mean_density(dust, hd[:, None], hs[None, :])
         kappa = k * dust.polarizability_volume
 
-    src_amp = grid.weight * grid.e0 / wavelength
+    src_amp = grid._weight_e0 / wavelength
     n_nodes = grid.x.size
     block = max(1, _BLOCK_ELEMENTS // max(n_nodes, 1))
     for start in range(0, x.size, block):
@@ -316,14 +328,25 @@ def field_on_grid(
     k = 2.0 * math.pi / wavelength
 
     cx, cy, _, _, first, amp_sum = grid._separable
-    u = (float(np.max(np.abs(xs))) + float(np.max(np.abs(cx)))) ** 2
-    v = (float(np.max(np.abs(ys))) + float(np.max(np.abs(cy)))) ** 2
-    col, h_src, h_dst = 0.0, None, None
+    reach_x, reach_y = grid._reach
+    # The grid point farthest off axis, where the bound is attained.
+    i, j = int(np.abs(xs).argmax()), int(np.abs(ys).argmax())
+    u = (float(abs(xs[i])) + reach_x) ** 2
+    v = (float(abs(ys[j])) + reach_y) ** 2
+    rows = max(1, min(ys.size, _ROW_BLOCK_ELEMENTS // (2 * cy.size)))
+    key = _key("grid", grid, geom, dust, wavelength, xs, ys, z, rows)
+    held = _lookup(key)
+    nbar_min = h_src = h_dst = None
+    col = 0.0
     if dust is not None:
-        # Mean density never rises with either endpoint height.
-        h_src, h_dst = ray_heights(geom, cy, ys, z)
+        if held is not None:
+            nbar_min = held[0]
+        else:
+            # Mean density never rises with either endpoint height.
+            h_src, h_dst = ray_heights(geom, cy, ys, z)
+            nbar_min = mean_density(dust, h_dst.min(), h_src.min())
         c = complex(dust.C_ext, k * dust.polarizability_volume)
-        col = abs(c) * mean_density(dust, np.min(h_dst), np.min(h_src))
+        col = abs(c) * nbar_min
     bound = _cross_term_bound(k, z, u, v, col)
     if bound > _FRESNEL_REMAINDER_MAX:
         raise ResolutionError(
@@ -332,36 +355,44 @@ def field_on_grid(
             f"short for this destination grid"
         )
 
-    rows = max(1, min(ys.size, _ROW_BLOCK_ELEMENTS // (2 * cy.size)))
-    left, blocks = _factors(
-        lambda: (_left_factors(grid, k, xs, z),
-                 _row_factors(dust, k, cy, ys, z, rows, h_src, h_dst)),
+    _, left, blocks = held if held is not None else _hold(
+        key, grid,
         32 * xs.size * (grid.axis.size + first.size) + 8 * ys.size * cy.size * (
             4 if dust is None else 6),
-        "grid", grid, geom, dust, wavelength, xs, ys, z, rows,
+        (nbar_min, _left_factors(grid, k, xs, z),
+         _row_factors(dust, k, cy, ys, z, rows, h_src, h_dst)),
     )
-    # The right factors of each block of rows fill one reused buffer:
-    # Y = amp*exp(-j*phase) and l1 = (re + j*im)*inv/2, built from real parts.
+    # The right factors of each block of rows are built in one reused
+    # buffer, from real parts: Y = amp*exp(-j*phase) and l1 = (re + j*im)*inv/2,
+    # with amp = inv*exp(-c.real*cn) and re = -inv - c.real*nbar. The real
+    # parts are formed in a contiguous scratch and written to buf once each.
     buf = np.empty((rows, 2, cy.size), dtype=complex)
+    scratch = np.empty((3, rows, cy.size))
     e = np.empty((xs.size, ys.size), dtype=complex)
     for blk, inv, cos, sin, im, nbar, cn in blocks:
-        amp, re = inv, -inv
-        if dust is not None:
-            amp = amp * np.exp(-c.real * cn)
-            re = re - c.real * nbar
-        right = buf[: inv.shape[0]]
-        np.multiply(amp, cos, out=right[:, 0].real)
-        np.multiply(-amp, sin, out=right[:, 0].imag)
-        np.multiply(right[:, 0], (re + 1j * im) * (0.5 * inv), out=right[:, 1])
-        e[:, blk] = _contract(left, right.reshape(inv.shape[0], -1))
+        n = inv.shape[0]
+        right, (amp, re, half) = buf[:n], scratch[:, :n]
+        y, l1 = right[:, 0], right[:, 1]
+        np.negative(inv, out=re)
+        if dust is None:
+            amp = inv
+        else:
+            np.exp(np.multiply(cn, -c.real, out=amp), out=amp)
+            amp *= inv
+            re -= np.multiply(nbar, c.real, out=half)
+        np.multiply(amp, cos, out=y.real)
+        np.negative(np.multiply(amp, sin, out=half), out=y.imag)
+        np.multiply(inv, 0.5, out=half)
+        np.multiply(re, half, out=l1.real)
+        np.multiply(im, half, out=l1.imag)
+        np.multiply(y, l1, out=l1)
+        e[:, blk] = _contract(left, right.reshape(n, -1))
     e /= wavelength
-    if not np.all(np.isfinite(e.view(float))):
+    if not np.isfinite(e.view(float)).all():
         raise NumericalError("field accumulation produced non-finite values")
 
-    # The exact sum at the grid point farthest off axis, where the bound
-    # is attained, checks the bound: no pair errs by more than bound
-    # times |a*X*Y/lambda|, which is at most weight*e0/(lambda*z).
-    i, j = int(np.argmax(np.abs(xs))), int(np.argmax(np.abs(ys)))
+    # The exact sum at the corner checks the bound: no pair errs by more
+    # than bound times |a*X*Y/lambda|, which is at most weight*e0/(lambda*z).
     exact = field_at_points(grid, geom, dust, wavelength, xs[i], ys[j], z)
     scale = amp_sum / (wavelength * z)
     if not abs(e[i, j] - exact) <= (bound + _ROUNDING_RTOL) * scale:
@@ -392,7 +423,13 @@ def _left_factors(grid: ApertureGrid, k: float, xs: np.ndarray, z: float) -> np.
     la = (prefix[:, :, hi] - prefix[:, :, lo]) * grid.amp
     # The rim nodes' left columns, scaled by their amplitudes, are summed
     # per distinct y (in a fixed order), where they meet one right column.
-    rim = np.add.reduceat(np.take(left[:, :, n:], rim_ix, axis=2) * rim_a, first, axis=2)
+    # Up to 168 cells every group is a +-x pair, whose sum is reduceat's
+    # bits at a fraction of its per-group cost.
+    rim = np.take(left[:, :, n:], rim_ix, axis=2) * rim_a
+    if np.array_equal(first, np.arange(0, rim.shape[2], 2)):
+        rim = rim[:, :, 0::2] + rim[:, :, 1::2]
+    else:
+        rim = np.add.reduceat(rim, first, axis=2)
     return np.concatenate([la, rim], axis=2).reshape(xs.size, -1)
 
 

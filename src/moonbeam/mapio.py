@@ -97,19 +97,23 @@ def write_map_pgm(imap: IrradianceMap, path) -> None:
 
     The top image row is the largest y (image convention). The sidecar
     file `<path>.scale.txt` records the irradiance per count so the
-    image remains quantitative.
+    image remains quantitative. Counts are scaled, rounded and cast a
+    block of rows at a time, as write_map_csv formats them.
     """
-    peak = float(imap.values.max())
+    values = imap.values
+    peak = float(values.max())
     scale = peak / 65535.0 if peak > 0.0 else 0.0
-    if peak > 0.0:
-        counts = np.rint(imap.values / peak * 65535.0).astype(">u2")
-    else:
-        counts = np.zeros_like(imap.values, dtype=">u2")
-    counts = counts[::-1, :]  # y descending top to bottom
-    ny, nx = counts.shape
+    ny, nx = values.shape
+    rows = max(1, _BLOCK_CELLS // max(nx, 1))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n65535\n".encode("ascii"))
-        fh.write(counts.tobytes())
+        for stop in range(ny, 0, -rows):  # y descending top to bottom
+            block = values[max(stop - rows, 0):stop][::-1]
+            if peak > 0.0:
+                counts = np.rint(block / peak * 65535.0).astype(">u2")
+            else:
+                counts = np.zeros(block.shape, dtype=">u2")
+            fh.write(counts.tobytes())
     with open(f"{path}.scale.txt", "w") as fh:
         fh.write(
             "irradiance_per_count_W_per_m2 "

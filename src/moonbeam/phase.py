@@ -74,21 +74,23 @@ def mean_density(dm: DustModel, h1, h2):
     whose only cancellation is bounded by eps*A/N, negligible except
     within microns of the ceiling. Accepts scalars or arrays; ln is
     taken per endpoint, so log1p is the only per-pair transcendental.
+    Clamps are ufunc maxima and minima, which select without rounding.
     """
     h1a = np.asarray(h1, dtype=float)
     h2a = np.asarray(h2, dtype=float)
-    if np.any(h1a <= 0.0) or np.any(h2a <= 0.0):
+    if (h1a <= 0.0).any() or (h2a <= 0.0).any():
         raise DomainError("heights must be positive to evaluate the density profile")
     scalar = h1a.ndim == 0 and h2a.ndim == 0
-    h1a, h2a = np.atleast_1d(h1a, h2a)
+    if scalar:
+        h1a, h2a = h1a.reshape(1), h2a.reshape(1)
     span = np.abs(h1a - h2a)
     total = h1a + h2a
     near_equal = span <= _EQUAL_HEIGHT_RTOL * total
     # Logarithmic segment [a, b] between floor and ceiling (zero density
     # above). Endpoints are clamped and their logs taken before they
     # broadcast: clipping is monotone, so a and ln(a/H) are the smaller.
-    c1 = np.clip(h1a, dm.h_floor, dm.H)
-    c2 = np.clip(h2a, dm.h_floor, dm.H)
+    c1 = np.minimum(np.maximum(h1a, dm.h_floor), dm.H)
+    c2 = np.minimum(np.maximum(h2a, dm.h_floor), dm.H)
     log_a = np.minimum(np.log(c1 / dm.H), np.log(c2 / dm.H))
     a = np.minimum(c1, c2)
     b = np.maximum(c1, c2)
@@ -96,17 +98,19 @@ def mean_density(dm: DustModel, h1, h2):
     seg_safe = np.where(seg > 0.0, seg, 1.0)
     integral = dm.A * (1.0 - log_a) - dm.A * b * np.log1p(seg / a) / seg_safe
     integral *= seg
-    if np.any(h1a < dm.h_floor) or np.any(h2a < dm.h_floor):
+    if (h1a < dm.h_floor).any() or (h2a < dm.h_floor).any():
         # Clamped-region segment: constant density down to the floor.
         lo = np.minimum(h1a, h2a)
-        below_len = np.clip(np.minimum(np.maximum(h1a, h2a), dm.h_floor) - lo, 0.0, None)
+        below_len = np.maximum(np.minimum(np.maximum(h1a, h2a), dm.h_floor) - lo, 0.0)
         integral = below_len * (-dm.A * math.log(dm.h_floor / dm.H)) + integral
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = integral / span
-    if np.any(near_equal):
-        # Midpoint value where the interval is degenerate.
-        mid = np.clip(0.5 * total[near_equal], dm.h_floor, dm.H)
+    if near_equal.any():
+        # Midpoint value where the interval is degenerate (0/0 at equal heights).
+        with np.errstate(divide="ignore", invalid="ignore"):
+            result = integral / span
+        mid = np.minimum(np.maximum(0.5 * total[near_equal], dm.h_floor), dm.H)
         result[near_equal] = -dm.A * np.log(mid / dm.H)
+    else:
+        result = integral / span
     if scalar:
         return float(result[0])
     return result

@@ -166,6 +166,15 @@ class ApertureGrid:
             float(np.sum(np.abs(self.weight * self.e0))),
         )
 
+    #: weight * e0 per node, computed once per grid.
+    _weight_e0 = functools.cached_property(lambda self: _read_only(self.weight * self.e0)[0])
+
+    @functools.cached_property
+    def _reach(self):
+        """max|x| and max|y| over _separable's axes, which bound the cross terms."""
+        cx, cy = self._separable[:2]
+        return float(np.max(np.abs(cx))), float(np.max(np.abs(cy)))
+
     def discrete_power(self, eta: float) -> float:
         """Power carried by the discretized field [W]."""
         return float(np.sum(self.weight * self.e0**2) / (2.0 * eta))

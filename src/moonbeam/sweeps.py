@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -235,6 +234,14 @@ def _evaluate_cell(payload):
     except BeamError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row, imap
+
+
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
+    """concurrent.futures.ProcessPoolExecutor(max_workers), imported here, where
+    a pool starts: the import loads multiprocessing, which a serial run never needs."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(max_workers=max_workers)
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:

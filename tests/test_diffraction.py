@@ -693,6 +693,19 @@ def test_held_factors_serve_only_a_change_of_c_ext(monkeypatch):
             assert builds == [], name
 
 
+@pytest.mark.parametrize("field, value", [("m_p", 1.5), ("A", 4e8), ("H", 9.0), ("h_floor", 0.5)])
+def test_held_factors_serve_no_other_dust_profile(field, value, monkeypatch):
+    # The key holds every dust field but C_ext, not the diameter alone.
+    other = held_case(dust=replace(DustModel(d_p=175e-9, C_ext=0.0), **{field: value}))
+    unheld = [hexes(f) for f in both_fields(other, 2.6957e-13)]
+    builds = count_factor_builds(monkeypatch)
+    with diffraction.holding():
+        both_fields(held_case(), 2.6957e-13)
+        del builds[:]
+        assert [hexes(f) for f in both_fields(other, 2.6957e-13)] == unheld
+        assert sorted(builds) == ["_left_factors", "_point_factors", "_point_factors"]
+
+
 def test_calls_past_the_budget_are_computed_unheld(monkeypatch):
     case, other = held_case(), held_case(z=4999.0)
     unheld = [hexes(f) for f in both_fields(case, 5.2578e-14)]
@@ -727,3 +740,67 @@ def test_nothing_stays_held_after_the_block():
     assert diffraction._held is None
     both_fields(case, 0.0)
     assert diffraction._held is None
+
+
+def test_refusal_inside_holding_comes_before_any_factor(monkeypatch):
+    # At C_ext = 1e-4 m^2 the bound's dust term alone exceeds the limit
+    # on the calibration anchor's panel set. Inside holding(), the bound
+    # is still checked first: on a fresh key, before any factor is built,
+    # and on a key whose factors are held, before they are used.
+    case = held_case()
+    args = case["grid"], case["geom"]
+    points = case["wavelength"], case["xs"], case["ys"], case["z"]
+    opaque = DustModel(d_p=175e-9, C_ext=1e-4)
+    unheld = hexes(field_on_grid(*args, replace(opaque, C_ext=5.2578e-14), *points))
+
+    def unexpected(*args):
+        raise AssertionError("a factor was built")
+
+    builders = ("_left_factors", "_row_factors", "_point_factors")
+    with diffraction.holding():
+        with monkeypatch.context() as patch:
+            for name in builders:
+                patch.setattr(diffraction, name, unexpected)
+            with pytest.raises(ResolutionError, match="cross-term bound"):
+                field_on_grid(*args, opaque, *points)
+        assert diffraction._held == {}
+        field_on_grid(*args, replace(opaque, C_ext=0.0), *points)
+        assert len(diffraction._held) == 2
+        for name in builders:
+            monkeypatch.setattr(diffraction, name, unexpected)
+        with pytest.raises(ResolutionError, match="cross-term bound"):
+            field_on_grid(*args, opaque, *points)
+        assert hexes(field_on_grid(*args, replace(opaque, C_ext=5.2578e-14), *points)) == unheld
+
+
+def reduceat_left_factors(grid, k, xs, z):
+    """_left_factors with every rim y-group summed by np.add.reduceat."""
+    cx, _, rim_ix, rim_a, first, _ = grid._separable
+    dx2 = (xs[:, None] - cx[None, :]) ** 2
+    kx = np.exp(-1j * k * (dx2 / (np.sqrt(z * z + dx2) + z)))
+    left = np.stack([kx, kx * dx2], axis=1)
+    n = grid.axis.size
+    prefix = np.zeros((xs.size, 2, n + 1), dtype=complex)
+    np.cumsum(left[:, :, :n] * grid.amp, axis=2, out=prefix[:, :, 1:])
+    lo, hi = grid.spans
+    la = (prefix[:, :, hi] - prefix[:, :, lo]) * grid.amp
+    rim = np.add.reduceat(np.take(left[:, :, n:], rim_ix, axis=2) * rim_a, first, axis=2)
+    return np.concatenate([la, rim], axis=2).reshape(xs.size, -1)
+
+
+@pytest.mark.parametrize("res, pairs", [(16, True), (64, True), (68, False), (168, True),
+                                        (304, False), (338, False)])
+def test_rim_pair_sums_are_the_reduceat_bits(res, pairs):
+    # Up to 168 cells every rim y-group is a +-x pair (68 cells has single
+    # nodes, 304 groups of 4), and the pairs are summed directly. At 338
+    # cells, groups of 1, 2 and 4 hold twice as many nodes as there are
+    # groups, so only the group starts tell it from an all-pair grid.
+    grid = build_aperture_grid(LaserSource(P0=1000.0, w0=0.05, r_a=0.05, wavelength=1064e-9), res)
+    _, _, rim_ix, _, first, _ = grid._separable
+    sizes = np.diff(np.append(first, rim_ix.size))
+    assert (set(sizes.tolist()) == {2}) == pairs
+    k = 2.0 * math.pi / 1064e-9
+    for xs, z in ((np.array([0.0]), 5000.0), (np.linspace(0.0, 0.75, 41), 1000.0),
+                  (np.linspace(-0.24, 0.24, 9), 50000.0), (grid._separable[0][-3:], 2000.0)):
+        assert (diffraction._left_factors(grid, k, xs, z).tobytes()
+                == reduceat_left_factors(grid, k, xs, z).tobytes())

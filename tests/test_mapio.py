@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moonbeam import mapio
 from moonbeam.diffraction import IrradianceMap, compute_irradiance_map
 from moonbeam.mapio import format_value, write_map_csv, write_map_pgm, write_table_csv
 from moonbeam.scenario import scenario_from_mapping
@@ -173,6 +174,56 @@ def test_mirrored_map_csv_memory_is_bounded_by_one_row_block(tmp_path):
         next(fh)
         first = next(fh).rstrip("\n").split(",")
     assert first[1:] == [format_value(v) for v in imap.values[0]]
+
+
+def whole_map_pgm_bytes(imap):
+    """The PGM as scaled, rounded and cast over the whole map at once."""
+    peak = float(imap.values.max())
+    if peak > 0.0:
+        counts = np.rint(imap.values / peak * 65535.0).astype(">u2")
+    else:
+        counts = np.zeros_like(imap.values, dtype=">u2")
+    ny, nx = counts.shape
+    return f"P5\n{nx} {ny}\n65535\n".encode("ascii") + counts[::-1, :].tobytes()
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 64, 16384])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (33, 32), (64, 129)])
+def test_pgm_bytes_do_not_depend_on_the_row_block(tmp_path, monkeypatch, shape, block_cells):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    maps = {
+        "random": rng.uniform(0.0, 3e5, size=shape),
+        "half_counts": np.arange(shape[0] * shape[1], dtype=float).reshape(shape) * 0.5,
+        "zero": np.zeros(shape),
+        "negative": -rng.uniform(0.0, 1.0, size=shape),
+    }
+    monkeypatch.setattr(mapio, "_BLOCK_CELLS", block_cells)
+    for name, values in maps.items():
+        ny, nx = shape
+        imap = IrradianceMap(xs=np.linspace(-1.0, 1.0, nx), ys=np.linspace(-1.0, 1.0, ny),
+                             values=values, extent=(1.0, 1.0), distance=1.0, meta={})
+        path = tmp_path / f"{name}.pgm"
+        write_map_pgm(imap, path)
+        assert path.read_bytes() == whole_map_pgm_bytes(imap), name
+        peak = float(values.max())
+        assert (tmp_path / f"{name}.pgm.scale.txt").read_text().splitlines()[:2] == [
+            f"irradiance_per_count_W_per_m2 {format_value(peak / 65535.0 if peak > 0.0 else 0.0)}",
+            f"max_irradiance_W_per_m2 {format_value(peak)}",
+        ], name
+
+
+def test_pgm_memory_is_bounded_by_one_row_block(tmp_path):
+    # Scaling and rounding the whole 1025 x 1025 map at once traces 16 MiB.
+    half = np.random.default_rng(7).uniform(0.0, 3e5, size=(1025, 513))
+    imap = mirrored_map(half, 1025)
+    tracemalloc.start()
+    try:
+        write_map_pgm(imap, tmp_path / "map.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert (tmp_path / "map.pgm").read_bytes() == whole_map_pgm_bytes(imap)
 
 
 def test_write_map_pgm_format_and_scale(tmp_path):

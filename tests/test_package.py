@@ -30,6 +30,19 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.split() == ["True", "False", "False"]
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # A sweep imports its process pool where one starts (workers > 1):
+    # concurrent.futures.process loads multiprocessing, which serial runs
+    # and every other command never use.
+    env = dict(os.environ, PYTHONPATH=str(Path(moonbeam.__file__).parents[1]))
+    modules = ("concurrent.futures.process", "multiprocessing")
+    code = f"import sys, moonbeam.cli; print(*(m in sys.modules for m in {modules!r}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False", "False"]
+
+
 def test_readme_python_example_runs(capsys):
     text = README.read_text()
     api = text[text.index("## Python API"):]

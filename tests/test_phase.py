@@ -146,6 +146,88 @@ def test_mean_density_is_largest_at_the_lowest_endpoint_pair(rows, cols, offsets
     assert mean_density(dm, h1.min(), h2.min()) >= table.max()
 
 
+def frozen_mean_density(dm, h1, h2):
+    """mean_density as first written, frozen: np.any, np.clip and one errstate
+    around the division. The program's form must return its bits."""
+    h1a = np.asarray(h1, dtype=float)
+    h2a = np.asarray(h2, dtype=float)
+    if np.any(h1a <= 0.0) or np.any(h2a <= 0.0):
+        raise DomainError("heights must be positive to evaluate the density profile")
+    scalar = h1a.ndim == 0 and h2a.ndim == 0
+    h1a, h2a = np.atleast_1d(h1a, h2a)
+    span = np.abs(h1a - h2a)
+    total = h1a + h2a
+    near_equal = span <= 1e-9 * total
+    c1 = np.clip(h1a, dm.h_floor, dm.H)
+    c2 = np.clip(h2a, dm.h_floor, dm.H)
+    log_a = np.minimum(np.log(c1 / dm.H), np.log(c2 / dm.H))
+    a = np.minimum(c1, c2)
+    b = np.maximum(c1, c2)
+    seg = b - a
+    seg_safe = np.where(seg > 0.0, seg, 1.0)
+    integral = dm.A * (1.0 - log_a) - dm.A * b * np.log1p(seg / a) / seg_safe
+    integral *= seg
+    if np.any(h1a < dm.h_floor) or np.any(h2a < dm.h_floor):
+        lo = np.minimum(h1a, h2a)
+        below_len = np.clip(np.minimum(np.maximum(h1a, h2a), dm.h_floor) - lo, 0.0, None)
+        integral = below_len * (-dm.A * math.log(dm.h_floor / dm.H)) + integral
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = integral / span
+    if np.any(near_equal):
+        mid = np.clip(0.5 * total[near_equal], dm.h_floor, dm.H)
+        result[near_equal] = -dm.A * np.log(mid / dm.H)
+    if scalar:
+        return float(result[0])
+    return result
+
+
+#: Relative offsets of a partner height: equal, inside and just outside
+#: the near-equal rule's 1e-9, and well apart.
+partner_offsets = st.sampled_from([0.0, 1e-15, -3e-10, 1e-9, -1e-9, 1.5e-9, 1e-7, -0.3, 2.0])
+
+
+@st.composite
+def density_args(draw):
+    """(dust, h1, h2): scalars, a column by a row, or equal shapes, with
+    heights below the floor, above the ceiling, at both and near-equal."""
+    dm = default_dust(h_floor=draw(st.sampled_from([1e-3, 0.5, 2.0])))
+    height = st.one_of(
+        st.floats(1e-5, 20.0),
+        st.sampled_from([dm.h_floor, dm.H, 0.5 * dm.h_floor, 1e-5, 2.0, 12.0, 20.0]),
+    )
+    first = draw(st.lists(height, min_size=1, max_size=8))
+    second = [h * (1.0 + draw(partner_offsets)) if draw(st.booleans()) else draw(height)
+              for h in first]
+    second = [h if h > 0.0 else dm.h_floor for h in second]
+    shape = draw(st.sampled_from(["scalar", "table", "equal"]))
+    if shape == "scalar":
+        return dm, first[0], second[0]
+    if shape == "table":
+        return dm, np.array(first)[:, None], np.array(second)[None, :]
+    return dm, np.array(first), np.array(second)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(density_args())
+def test_mean_density_returns_the_frozen_formulas_bits(args):
+    dm, h1, h2 = args
+    for a, b in ((h1, h2), (h2, h1)):
+        got, want = mean_density(dm, a, b), frozen_mean_density(dm, a, b)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert [float(v).hex() for v in np.ravel(got)] == [float(v).hex() for v in np.ravel(want)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(density_args(), st.sampled_from([0.0, -0.0, -1e-300, -2.0]), st.integers(0, 1))
+def test_mean_density_refuses_nonpositive_heights_as_the_frozen_formula(args, bad, side):
+    dm, h1, h2 = args
+    heights = [np.array(h1, dtype=float), np.array(h2, dtype=float)]
+    heights[side].flat[-1] = bad
+    for fn in (mean_density, frozen_mean_density):
+        with pytest.raises(DomainError, match="positive"):
+            fn(dm, *heights)
+
+
 def test_mean_density_symmetric_in_endpoints():
     dm = default_dust()
     assert mean_density(dm, 1.0, 6.0) == mean_density(dm, 6.0, 1.0)

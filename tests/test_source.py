@@ -246,3 +246,15 @@ def test_derived_tables_are_read_only():
     assert not any(t.flags.writeable for t in tables)
     with pytest.raises(ValueError):
         grid._distinct_y[1][0] = 0
+
+
+def test_kernel_constants_are_read_only_and_match_the_nodes():
+    grid = build_aperture_grid(default_source(), 64)
+    weight_e0 = grid._weight_e0
+    assert not weight_e0.flags.writeable
+    with pytest.raises(ValueError):
+        weight_e0[0] = 0.0
+    assert np.array_equal(weight_e0, grid.weight * grid.e0)
+    cx, cy = grid._separable[:2]
+    assert grid._reach == (float(np.max(np.abs(cx))), float(np.max(np.abs(cy))))
+    assert all(type(r) is float for r in grid._reach)
